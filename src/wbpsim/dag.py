@@ -4,7 +4,7 @@ and runtime dismissal of conditional task groups.
 A ``Dag`` is a mutable builder until ``freeze()`` validates it and computes a
 structural content hash; after that it is immutable and safe to share. Each
 running thread owns a ``DagInstance`` carrying per-task state and per-edge
-FIFO queues.
+FIFO queues, plus incrementally maintained readiness (see ``DagInstance``).
 """
 
 from __future__ import annotations
@@ -12,11 +12,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 EXTERNAL = "EXTERNAL"
+
+# Fixed header of a packed dag+data bundle; the rest is code and token bytes.
+PACK_HEADER_BYTES = 32
 
 ATTRIBUTES = ("LARGE", "SMALL", "ANY")
 
@@ -39,6 +43,9 @@ _TRANSITIONS = {
     TaskState.DONE: set(),
     TaskState.DISMISSED: set(),
 }
+
+# States a scan still visits: not yet dispatched or dismissed.
+_PENDING = (TaskState.WAITING, TaskState.READY)
 
 
 @dataclass(frozen=True)
@@ -203,6 +210,8 @@ class Dag:
             if edge.src in self.tasks:
                 self._out_edges[edge.src].append(idx)
         self._rule_by_producer = {rule.producer: rule for rule in self.rules}
+        self._topo_index = {tid: i for i, tid in enumerate(self._topo)}
+        self._packed_bytes = PACK_HEADER_BYTES + self.total_code_bytes
         return self
 
     def _content_hash(self) -> str:
@@ -264,6 +273,11 @@ class Dag:
     def total_code_bytes(self) -> int:
         return sum(t.code_bytes for t in self.tasks.values())
 
+    @property
+    def packed_bytes(self) -> int:
+        """Header plus code: the dag part of a packed bundle (mem_pack)."""
+        return self._packed_bytes
+
     def external_input_edges(self) -> list[int]:
         return [i for i, e in enumerate(self.edges) if e.src == EXTERNAL]
 
@@ -273,7 +287,23 @@ class BackpressureError(RuntimeError):
 
 
 class DagInstance:
-    """Runtime state of one thread's dag: task states and FIFO contents."""
+    """Runtime state of one thread's dag: task states and FIFO contents.
+
+    Readiness is kept incrementally, so a scan need not test every task:
+
+    - ``missing[task]`` counts the task's live input edges (producer not
+      dismissed) whose FIFO is empty. It changes when a FIFO goes from empty
+      to one token (``push_token``), from one token to empty
+      (``pop_inputs``), and when a producer is dismissed: its empty output
+      edges stop being live, which is the arity adjustment that lets a join
+      fire once the surviving producers have delivered.
+    - ``_pending`` holds the sorted topological indices of the WAITING/READY
+      tasks; a task leaves it when it is dispatched or dismissed.
+    - ``_ready`` is the subset of ``_pending`` with nothing missing.
+
+    ``is_ready`` and ``live_in_edges`` recompute readiness from scratch and
+    serve as the oracle for this state.
+    """
 
     def __init__(self, dag: Dag):
         dag.dag_id  # require frozen
@@ -284,12 +314,30 @@ class DagInstance:
         self.pop_counts = {i: 0 for i in range(len(dag.edges))}
         self.outputs: dict[str, list[Token]] = {}
         self.returns: dict[str, Any] = {}
+        self.missing = {tid: len(dag._in_edges[tid]) for tid in dag.tasks}
+        self._pending = list(range(len(dag._topo)))
+        self._ready: set[int] = set()
 
     def set_state(self, task_id: str, new: TaskState) -> None:
         cur = self.states[task_id]
         if new not in _TRANSITIONS[cur]:
             raise RuntimeError(f"illegal transition {cur.value} -> {new.value} for {task_id}")
         self.states[task_id] = new
+        if new is TaskState.DISPATCHED or new is TaskState.DISMISSED:
+            index = self.dag._topo_index[task_id]
+            del self._pending[bisect_left(self._pending, index)]
+            self._ready.discard(index)
+        if new is TaskState.DISMISSED:
+            for idx in self.dag._out_edges[task_id]:
+                if not self.fifos[idx]:
+                    self._input_satisfied(self.dag.edges[idx].dst)
+
+    def _input_satisfied(self, task_id: str) -> None:
+        """One more live input of ``task_id`` has a token (or stopped being live)."""
+        if task_id in self.missing:
+            self.missing[task_id] -= 1
+            if self.missing[task_id] == 0 and self.states[task_id] in _PENDING:
+                self._ready.add(self.dag._topo_index[task_id])
 
     def live_in_edges(self, task_id: str) -> list[int]:
         """Input edges whose producer was not dismissed (arity adjustment)."""
@@ -302,31 +350,57 @@ class DagInstance:
         return out
 
     def is_ready(self, task_id: str) -> bool:
-        if self.states[task_id] not in (TaskState.WAITING, TaskState.READY):
+        if self.states[task_id] not in _PENDING:
             return False
         return all(self.fifos[idx] for idx in self.live_in_edges(task_id))
 
     def ready_tasks(self) -> set[str]:
-        return {tid for tid in self.dag.tasks if self.is_ready(tid)}
+        return {self.dag._topo[i] for i in self._ready}
+
+    def ready_ranks(self) -> list[tuple[int, str]]:
+        """(rank, task) of each ready task, in topological order.
+
+        ``rank`` is the task's 1-based position among the WAITING/READY tasks
+        in topological order, i.e. how many of them a front-to-back walk
+        visits up to and including this one.
+        """
+        topo, pending = self.dag._topo, self._pending
+        return [(bisect_left(pending, i) + 1, topo[i]) for i in sorted(self._ready)]
+
+    @property
+    def pending_count(self) -> int:
+        """Number of WAITING/READY tasks."""
+        return len(self._pending)
 
     def push_token(self, edge_idx: int, token: Token) -> None:
         fifo = self.fifos[edge_idx]
-        if len(fifo) >= self.dag.edges[edge_idx].capacity:
+        edge = self.dag.edges[edge_idx]
+        if len(fifo) >= edge.capacity:
             raise BackpressureError(f"edge {edge_idx} at capacity")
         fifo.append(token)
         self.push_counts[edge_idx] += 1
+        if len(fifo) == 1 and self.states.get(edge.src) is not TaskState.DISMISSED:
+            self._input_satisfied(edge.dst)
 
     def pop_inputs(self, task_id: str) -> list[Token]:
         if not self.is_ready(task_id):
             raise RuntimeError(f"pop_inputs on non-ready task {task_id}")
         tokens = []
         for idx in self.live_in_edges(task_id):
-            tokens.append(self.fifos[idx].popleft())
+            fifo = self.fifos[idx]
+            tokens.append(fifo.popleft())
             self.pop_counts[idx] += 1
+            if not fifo:
+                self.missing[task_id] += 1
+        if self.missing[task_id]:
+            self._ready.discard(self.dag._topo_index[task_id])
         return tokens
 
     def apply_dismissal(self, rule: DismissalRule, observed_count: int) -> list[str]:
-        """Dismiss the tail of the rule's group beyond the observed count."""
+        """Dismiss the tail of the rule's group beyond the observed count.
+
+        ``set_state`` makes the arity adjustment for each dismissed member.
+        """
         if not 0 <= observed_count <= rule.max_count:
             raise ValueError(f"observed count must be in 0..{rule.max_count}")
         if self.states[rule.producer] is not TaskState.DONE:

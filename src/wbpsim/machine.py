@@ -19,6 +19,7 @@ import enum
 import hashlib
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -52,6 +53,10 @@ class Event:
     nbytes: int = 0
     ctx: Any = None  # dispatch context only; excluded from digest and trace
     seq: int = -1
+
+
+# Dispatched-event budget of one run; exceeding it means the model diverged.
+MAX_EVENTS = 20_000_000
 
 
 class EventEngine:
@@ -98,28 +103,31 @@ class EventEngine:
                  "bytes": event.nbytes},
                 sort_keys=True) + "\n")
 
-    def run(self, handler: Callable[[Event], None], max_events: int = 20_000_000) -> None:
+    def _step(self, handler: Callable[[Event], None], max_events: int) -> None:
+        """Dispatch the earliest event: causality check, digest, budget."""
+        time, _, event = heapq.heappop(self._heap)
+        if time < self._now:
+            raise RuntimeError("event causality violated")
+        self._now = time
+        self._record(event)
+        self.dispatched += 1
+        if self.dispatched > max_events:
+            raise RuntimeError("event budget exceeded; simulation diverged")
+        handler(event)
+
+    def run(self, handler: Callable[[Event], None],
+            max_events: int = MAX_EVENTS) -> None:
         while self._heap:
-            time, _, event = heapq.heappop(self._heap)
-            if time < self._now:
-                raise RuntimeError("event causality violated")
-            self._now = time
-            self._record(event)
-            self.dispatched += 1
-            if self.dispatched > max_events:
-                raise RuntimeError("event budget exceeded; simulation diverged")
-            handler(event)
+            self._step(handler, max_events)
         if self._trace_fh is not None:
             self._trace_fh.close()
             self._trace_fh = None
 
-    def run_until(self, t: int, handler: Callable[[Event], None]) -> None:
+    def run_until(self, t: int, handler: Callable[[Event], None],
+                  max_events: int = MAX_EVENTS) -> None:
+        """Dispatch every event at or before ``t``, then advance the clock to ``t``."""
         while self._heap and self._heap[0][0] <= t:
-            time, _, event = heapq.heappop(self._heap)
-            self._now = time
-            self._record(event)
-            self.dispatched += 1
-            handler(event)
+            self._step(handler, max_events)
         self._now = max(self._now, t)
 
     def digest(self) -> str:
@@ -131,7 +139,13 @@ class EventEngine:
 
 
 class SpmSection:
-    """First-fit byte allocator with hole coalescing (implicit via scanning)."""
+    """First-fit byte allocator with hole coalescing (implicit via scanning).
+
+    ``allocations`` maps region ids to (offset, size). ``_spans`` holds the
+    same pairs sorted by offset, and ``_span_regions`` their region ids in
+    the same order, so first fit and the invariant check walk them without
+    re-sorting. Live spans never share an offset.
+    """
 
     def __init__(self, name: str, capacity: int):
         if capacity <= 0:
@@ -139,6 +153,8 @@ class SpmSection:
         self.name = name
         self.capacity = capacity
         self.allocations: dict[int, tuple[int, int]] = {}
+        self._spans: list[tuple[int, int]] = []
+        self._span_regions: list[int] = []
         self._next_region = 0
 
     @property
@@ -155,9 +171,8 @@ class SpmSection:
     def _find_offset(self, nbytes: int) -> int | None:
         if nbytes > self.capacity:
             return None
-        taken = sorted(self.allocations.values())
         cursor = 0
-        for offset, size in taken:
+        for offset, size in self._spans:
             if offset - cursor >= nbytes:
                 return cursor
             cursor = offset + size
@@ -173,26 +188,36 @@ class SpmSection:
             raise AllocationFailure(f"{self.name}: no fit for {nbytes} bytes")
         region = self._next_region
         self._next_region += 1
-        self.allocations[region] = (offset, nbytes)
+        span = (offset, nbytes)
+        self.allocations[region] = span
+        index = bisect_left(self._spans, span)
+        self._spans.insert(index, span)
+        self._span_regions.insert(index, region)
         return region
 
     def free_region(self, region: int) -> None:
         if region not in self.allocations:
             raise RuntimeError(f"{self.name}: unknown region {region}")
-        del self.allocations[region]
+        index = bisect_left(self._spans, self.allocations.pop(region))
+        del self._spans[index]
+        del self._span_regions[index]
 
     def offset_of(self, region: int) -> int:
         return self.allocations[region][0]
 
     def check(self) -> None:
-        spans = sorted(self.allocations.values())
         cursor = 0
-        for offset, size in spans:
+        for offset, size in self._spans:
             if offset < cursor:
                 raise RuntimeError(f"{self.name}: overlapping regions")
             cursor = offset + size
         if cursor > self.capacity:
             raise RuntimeError(f"{self.name}: allocation beyond capacity")
+        # The walk proved the spans distinct, so their regions are distinct
+        # too; with equal counts they are exactly the allocated regions.
+        if len(self._spans) != len(self.allocations) or \
+                list(map(self.allocations.get, self._span_regions)) != self._spans:
+            raise RuntimeError(f"{self.name}: span index differs from allocations")
 
 
 SECTION_NAMES = ("TASK_CODE_POOL", "FIFO_LISTS", "LOAD_INDICATION", "COMPUTE_DATA")
@@ -418,14 +443,19 @@ class Machine:
             thread=thread, nbytes=nbytes, ctx=ctx))
 
     def check_invariants(self) -> None:
+        idle, running = RunState.IDLE, RunState.RUNNING
+        core, bus = PortDirection.CORE, PortDirection.BUS
         for cluster in self.clusters:
             for section in cluster.sections.values():
                 section.check()
             if len(cluster.active_threads) > cluster.max_threads:
                 raise RuntimeError(f"cluster {cluster.cluster_id} over thread limit")
             for tile in cluster.tiles:
-                if tile.run_state is RunState.RUNNING and tile.port is not PortDirection.CORE:
-                    raise RuntimeError(f"tile {tile.tile_id} running with port at bus")
-                if tile.run_state in (RunState.LOADING, RunState.RETURNING) \
-                        and tile.port is not PortDirection.BUS:
+                state = tile.run_state
+                if state is idle:
+                    continue
+                if state is running:
+                    if tile.port is not core:
+                        raise RuntimeError(f"tile {tile.tile_id} running with port at bus")
+                elif tile.port is not bus:  # loading or returning
                     raise RuntimeError(f"tile {tile.tile_id} transferring with port at core")

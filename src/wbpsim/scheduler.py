@@ -9,6 +9,17 @@ cluster's scheduler then scans resident dag instances in registration order
 and dispatches ready tasks to attribute-matching idle tiles through the
 bundled deploy/retrieve protocol.
 
+The modeled scan walks each resident's tasks in topological order and pays
+``scan_visit_cycles`` for every WAITING/READY task it passes, so a dispatch
+leaves at ``now + visits * scan_visit_cycles``. The host does not walk:
+each ``DagInstance`` keeps its ready set and the sorted topological indices
+of its WAITING/READY tasks up to date, and the scan touches ready tasks
+only. A ready task's ``visits`` is the pending count of the residents
+before it plus its rank (1-based position) among its own instance's pending
+tasks, taken when the scan starts. That equals the walk's count, because a
+dispatch only pops the dispatched task's inputs and so changes no other
+task's readiness during the scan.
+
 All mutation happens inside the single-threaded event loop, so a (config,
 seed) pair always yields the same event stream and trace digest.
 """
@@ -17,16 +28,17 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .costmodel import CostModel
-from .dag import BackpressureError, Dag, DagInstance, TaskState, Token
+from .dag import (PACK_HEADER_BYTES, BackpressureError, Dag, DagInstance,
+                  TaskState, Token)
 from .machine import (AllocationFailure, ClusterState, Event, EventKind,
                       Machine, TileState)
 
-PACK_HEADER_BYTES = 32
 FIFO_RECORD_BYTES = 16
 LOAD_INDICATION_BYTES = 16
 
@@ -129,14 +141,6 @@ def mem_unpack(payload: PackedPayload) -> tuple[str, tuple[Token, ...]]:
     return payload.dag_id, payload.tokens
 
 
-@dataclass(frozen=True)
-class LoadIndication:
-    task_id: str
-    tile_id: int
-    thread_id: int
-    input_regions: tuple[int, ...]
-
-
 @dataclass
 class Decision:
     time: int
@@ -212,7 +216,9 @@ class ClusterScheduler:
     """Task-level scheduler owning one cluster's resident dag instances."""
 
     def __init__(self, system: "System", cluster: ClusterState):
-        self.system = system
+        # A weak back-reference keeps System free of reference cycles, so a
+        # finished run's memory is released as soon as the caller drops it.
+        self.system = weakref.proxy(system)
         self.cluster = cluster
         self.residents: OrderedDict[int, ThreadRun] = OrderedDict()
         self.stalled_retrievals: list[TaskRun] = []
@@ -242,37 +248,41 @@ class ClusterScheduler:
             return None
         return min(candidates, key=lambda t: (t.last_finish, t.tile_id))
 
-    def scan(self, now: int) -> list[LoadIndication]:
-        """One pass over resident instances; dispatches what fits right now."""
-        cfg = self.system.machine.config
-        indications = []
-        visits = 0
+    def scan(self, now: int) -> list[TaskRun]:
+        """One pass over resident instances; dispatches what fits right now.
+
+        Only ready tasks are touched, but each dispatch is charged as if the
+        pass had walked every WAITING/READY task of the earlier residents and
+        of its own instance up to it (see the module docstring).
+        """
+        visit_cycles = self.system.machine.config.scan_visit_cycles
+        dispatched = []
+        # A dispatch only makes tiles busy, so an attribute that found no idle
+        # tile finds none for the rest of the pass.
+        no_tile: set[str] = set()
+        base = 0
         for run in list(self.residents.values()):
             instance = run.instance
-            if instance is None:
-                continue
-            dag = run.thread.dag
-            for task_id in dag.topo_order:
-                state = instance.states[task_id]
-                if state not in (TaskState.WAITING, TaskState.READY):
-                    continue
-                visits += 1
-                if not instance.is_ready(task_id):
-                    continue
-                if state is TaskState.WAITING:
+            pending = instance.pending_count
+            for rank, task_id in instance.ready_ranks():
+                if instance.states[task_id] is TaskState.WAITING:
                     instance.set_state(task_id, TaskState.READY)
-                spec = dag.tasks[task_id]
-                tile = self.select_tile(spec.attribute)
-                if tile is None:
+                attribute = run.thread.dag.tasks[task_id].attribute
+                if attribute in no_tile:
                     continue
-                dispatch_time = now + visits * cfg.scan_visit_cycles
-                indication = self._dispatch(run, task_id, tile, dispatch_time)
-                if indication is not None:
-                    indications.append(indication)
-        return indications
+                tile = self.select_tile(attribute)
+                if tile is None:
+                    no_tile.add(attribute)
+                    continue
+                dispatch_time = now + (base + rank) * visit_cycles
+                task_run = self._dispatch(run, task_id, tile, dispatch_time)
+                if task_run is not None:
+                    dispatched.append(task_run)
+            base += pending
+        return dispatched
 
     def _dispatch(self, run: ThreadRun, task_id: str, tile: TileState,
-                  now: int) -> LoadIndication | None:
+                  now: int) -> TaskRun | None:
         instance = run.instance
         dag = run.thread.dag
         spec = dag.tasks[task_id]
@@ -307,10 +317,7 @@ class ClusterScheduler:
         self.system.machine.begin_deploy(
             self.cluster, tile, spec.code_bytes, in_bytes, now,
             ctx=("deploy", task_run), thread=run.thread.tid, task=task_id)
-        return LoadIndication(task_id=task_id, tile_id=tile.tile_id,
-                              thread_id=run.thread.tid,
-                              input_regions=tuple(t.region for t in tokens
-                                                  if t.region is not None))
+        return task_run
 
     # -- completion ----------------------------------------------------------
 
@@ -416,7 +423,7 @@ class MainScheduler:
     """Thread-level scheduler: residency lookup, admission inquiry, LRU."""
 
     def __init__(self, system: "System", strict_algorithm: bool = False):
-        self.system = system
+        self.system = weakref.proxy(system)  # see ClusterScheduler
         self.table = DeploymentTable()
         self.pending: list[ThreadDescriptor] = []
         self.strict_algorithm = strict_algorithm
@@ -452,10 +459,9 @@ class MainScheduler:
             return False
         cluster = sched.cluster
         resident = self.table.lookup(thread.dag.dag_id, cluster_id)
-        if resident is None:
-            payload = mem_pack(thread.inputs, thread.dag)
-            if not cluster.section("TASK_CODE_POOL").would_fit(payload.dag_bytes):
-                return False
+        if resident is None and \
+                not cluster.section("TASK_CODE_POOL").would_fit(thread.dag.packed_bytes):
+            return False
         return self._data_would_fit(cluster, thread)
 
     def get_cluster_lru(self, thread: ThreadDescriptor) -> int | None:
@@ -552,9 +558,8 @@ class MainScheduler:
     def _place(self, thread: ThreadDescriptor, cluster_id: int, now: int,
                decision_time: int, ship_dag: bool, register: bool) -> int | None:
         cluster = self.system.cluster_scheds[cluster_id].cluster
-        payload = mem_pack(thread.inputs, thread.dag)
-        dag_bytes = payload.dag_bytes if ship_dag else None
-        alloc = self._alloc_thread(cluster, thread, dag_bytes)
+        dag_bytes = thread.dag.packed_bytes
+        alloc = self._alloc_thread(cluster, thread, dag_bytes if ship_dag else None)
         if alloc is None:
             self.system.metrics.backpressure_events += 1
             return None
@@ -565,12 +570,12 @@ class MainScheduler:
         data_bytes = sum(t.byte_size for t in thread.inputs)
         transfer_bytes = data_bytes
         if ship_dag:
-            transfer_bytes += payload.dag_bytes
-            run.shipped_dag_bytes = payload.dag_bytes
+            transfer_bytes += dag_bytes
+            run.shipped_dag_bytes = dag_bytes
             self.system.metrics.dag_transfers += 1
             if register:
                 self._register_entry(thread, cluster_id, code_region,
-                                     payload.dag_bytes, now)
+                                     dag_bytes, now)
             else:
                 run.anon_code_region = code_region
         else:
@@ -631,9 +636,8 @@ class MainScheduler:
     def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> list[str]:
         """Free idle LRU entries on the cluster until the bundle would fit."""
         cluster = self.system.cluster_scheds[cluster_id].cluster
-        payload = mem_pack(thread.inputs, thread.dag)
         evicted: list[str] = []
-        while not cluster.section("TASK_CODE_POOL").would_fit(payload.dag_bytes):
+        while not cluster.section("TASK_CODE_POOL").would_fit(thread.dag.packed_bytes):
             idle = [e for e in self.table.entries.values()
                     if e.cluster_id == cluster_id
                     and self.active_dag_threads.get((e.dag_id, cluster_id), 0) == 0]
@@ -685,6 +689,9 @@ class System:
         self._stall_ticks = 0
         self._progress_sig = None
         self._dag_classes: dict[str, set[str]] = {}
+        # Tile classes per cluster; the tiles are fixed for the whole run.
+        self._cluster_classes = [{t.tile_class for t in c.tiles}
+                                 for c in machine.clusters]
 
     # -- workload interface ----------------------------------------------------
 
@@ -697,8 +704,7 @@ class System:
 
     def cluster_covers(self, cluster_id: int, dag) -> bool:
         """The cluster has a tile of every class the dag's tasks require."""
-        present = {t.tile_class for t in self.machine.clusters[cluster_id].tiles}
-        return self._needed_classes(dag) <= present
+        return self._needed_classes(dag) <= self._cluster_classes[cluster_id]
 
     def submit(self, thread: ThreadDescriptor) -> None:
         if thread.tid in self.threads:

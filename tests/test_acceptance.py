@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL line
 per criterion; every tolerance is asserted at its stated value.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -261,10 +262,17 @@ def _fuzz_config(gen: random.Random):
     return sys_cfg, link, pattern, n_slots, seed
 
 
+# SHA-256 over every fuzz config's digest and metrics, in config order. It
+# pins the whole corpus's event streams: a pure speed-up leaves it unchanged.
+AC8_CORPUS_SHA256 = (
+    "53ce33a921442ad588f4a0d20ced02601ea89091526fb45953f2f857bcf99140")
+
+
 def test_ac8_protocol_invariant_fuzz():
     with criterion(8, "protocol invariant fuzz") as detail:
         started = time.monotonic()
         gen = random.Random(0xC0FFEE)
+        corpus = hashlib.sha256()
         runs = 1000
         for index in range(runs):
             sys_cfg, link, pattern, n_slots, seed = _fuzz_config(gen)
@@ -273,8 +281,12 @@ def test_ac8_protocol_invariant_fuzz():
             assert first.digest == second.digest, f"config {index} not reproducible"
             assert first.metrics["protocol_violations"] == 0
             assert first.threads_completed == n_slots
+            corpus.update(f"{first.digest} {sorted(first.metrics.items())}\n"
+                          .encode())
         elapsed = time.monotonic() - started
-        detail["note"] = f"({runs} configs x2 runs, {elapsed:.0f}s)"
+        detail["note"] = (f"({runs} configs x2 runs, corpus "
+                          f"{corpus.hexdigest()[:12]}, {elapsed:.0f}s)")
+        assert corpus.hexdigest() == AC8_CORPUS_SHA256
 
 
 def test_ac9_thread_scheduler_conformance():

@@ -291,3 +291,82 @@ def test_token_conservation_property(sizes):
         pops += 1
     assert inst.push_counts[0] == pops + len(inst.fifos[0])
     assert pops == len(sizes)
+
+
+# -- incremental readiness against the oracle ------------------------------------
+
+
+def diamond_with_dismissal():
+    # src fans out to a and b, which join; src may dismiss a, b or both.
+    dag = Dag()
+    for t in ("src", "a", "b", "join"):
+        dag.add_task(spec(t))
+    dag.add_edge("EXTERNAL", "src", 2)
+    for src, dst in (("src", "a"), ("src", "b"), ("a", "join"), ("b", "join")):
+        dag.add_edge(src, dst, 2)
+    dag.add_edge("join", "EXTERNAL", 2)
+    dag.add_dismissal("src", ("a", "b"))
+    return dag.freeze()
+
+
+def small_rx_dag():
+    from wbpsim.kernels import OfdmConfig, PolarCode
+    from wbpsim.workload import LinkConfig, build_rx_dag
+    return build_rx_dag(LinkConfig(polar=PolarCode.design(64, 32), rate_match_e=64,
+                                   ofdm=OfdmConfig(32, 8), bp_iters=4,
+                                   users_per_slot=3))
+
+
+READINESS_DAGS = {"diamond": diamond_with_dismissal(), "rx": small_rx_dag()}
+# Forward path of a task that is not dismissed.
+NEXT_STATE = {TaskState.WAITING: TaskState.READY,
+              TaskState.READY: TaskState.DISPATCHED,
+              TaskState.DISPATCHED: TaskState.RUNNING,
+              TaskState.RUNNING: TaskState.DONE}
+
+
+def assert_readiness_matches_oracle(inst):
+    order = inst.dag.topo_order
+    pending = [t for t in order
+               if inst.states[t] in (TaskState.WAITING, TaskState.READY)]
+    assert inst.ready_tasks() == {t for t in order if inst.is_ready(t)}
+    assert inst.ready_ranks() == [(pending.index(t) + 1, t)
+                                  for t in pending if inst.is_ready(t)]
+    assert inst.pending_count == len(pending)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(READINESS_DAGS)),
+       st.lists(st.tuples(st.sampled_from(("push", "pop", "advance", "dismiss",
+                                           "apply")),
+                          st.integers(0, 63), st.integers(0, 20)),
+                max_size=80))
+def test_incremental_readiness_matches_oracle(name, ops):
+    dag = READINESS_DAGS[name]
+    inst = DagInstance(dag)
+    tasks = dag.topo_order
+    for op, pick, count in ops:
+        task = tasks[pick % len(tasks)]
+        state = inst.states[task]
+        if op == "push":
+            try:
+                inst.push_token(pick % len(dag.edges), tok())
+            except BackpressureError:
+                pass
+        elif op == "pop":
+            if inst.is_ready(task):
+                inst.pop_inputs(task)
+            else:
+                with pytest.raises(RuntimeError):
+                    inst.pop_inputs(task)
+        elif op == "advance" and state in NEXT_STATE:
+            inst.set_state(task, NEXT_STATE[state])
+        elif op == "dismiss" and state in (TaskState.WAITING, TaskState.READY):
+            inst.set_state(task, TaskState.DISMISSED)
+        elif op == "apply" and dag.rules:
+            rule = dag.rules[pick % len(dag.rules)]
+            try:
+                inst.apply_dismissal(rule, count % (rule.max_count + 1))
+            except RuntimeError:  # producer not done or a member dispatched
+                pass
+        assert_readiness_matches_oracle(inst)

@@ -1,5 +1,7 @@
 """Event engine determinism, scratchpad allocation, DMA and protocol timing."""
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,14 @@ def test_run_until_advances_clock_on_empty_queue():
     engine = EventEngine()
     engine.run_until(42, lambda e: None)
     assert engine.now == 42
+
+
+def test_run_until_enforces_event_budget():
+    engine = EventEngine()
+    for t in (1, 2, 3):
+        engine.post(tick(t))
+    with pytest.raises(RuntimeError, match="event budget"):
+        engine.run_until(10, lambda e: None, max_events=2)
 
 
 def test_digest_reproducible_and_seed_sensitive():
@@ -142,6 +152,37 @@ def test_coalesced_holes_fit_large_request():
     spm.check()
 
 
+def first_fit_oracle(spm, nbytes):
+    """Lowest offset with ``nbytes`` free, from the unsorted allocation map."""
+    cursor = 0
+    for offset, size in sorted(spm.allocations.values()):
+        if offset - cursor >= nbytes:
+            return cursor
+        cursor = offset + size
+    return cursor if spm.capacity - cursor >= nbytes else None
+
+
+@pytest.mark.parametrize("span,message", [((16, 8), "overlapping"),
+                                          ((60, 8), "beyond capacity")])
+def test_check_rejects_corrupt_spans(span, message):
+    spm = SpmSection("s", 64)
+    spm.alloc(32)
+    spm.allocations[99] = span
+    index = bisect_left(spm._spans, span)
+    spm._spans.insert(index, span)
+    spm._span_regions.insert(index, 99)
+    with pytest.raises(RuntimeError, match=message):
+        spm.check()
+
+
+def test_check_rejects_span_index_drift():
+    spm = SpmSection("s", 64)
+    region = spm.alloc(32)
+    spm.allocations[region] = (0, 16)  # the sorted index still says (0, 32)
+    with pytest.raises(RuntimeError, match="span index"):
+        spm.check()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=40))
 def test_allocator_invariants_under_random_ops(ops):
@@ -149,10 +190,13 @@ def test_allocator_invariants_under_random_ops(ops):
     live = []
     for is_alloc, size in ops:
         if is_alloc or not live:
+            expected = first_fit_oracle(spm, size)
             try:
                 live.append(spm.alloc(size))
             except AllocationFailure:
-                pass
+                assert expected is None
+            else:
+                assert spm.offset_of(live[-1]) == expected
         else:
             spm.free_region(live.pop(size % len(live)))
         spm.check()

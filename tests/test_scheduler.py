@@ -1,5 +1,8 @@
 """Thread-level scheduling (residency, admission, LRU) and task-level scans."""
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import input_token, linear_dag, make_passthrough_body
@@ -55,7 +58,7 @@ def test_mem_pack_empty_data_is_header_plus_code():
     dag = linear_dag(3, code_bytes=1000)
     payload = mem_pack([], dag)
     assert payload.byte_size == 32 + 3000
-    assert payload.dag_bytes == payload.byte_size
+    assert payload.dag_bytes == payload.byte_size == dag.packed_bytes
 
 
 def test_mem_pack_roundtrip_and_hand_summed_size():
@@ -157,6 +160,21 @@ def test_residency_hit_ships_data_only():
     assert system.main.decisions[0].action == "hit"
     assert system.main.decisions[0].cluster == 2
     assert t.status is ThreadStatus.DONE
+
+
+def test_finished_system_is_freed_without_cycle_collection():
+    # Repeated runs in one process must not hold every earlier run's state
+    # until the cycle collector happens to run.
+    system = build_system()
+    system.submit(thread(0, one_task_dag()))
+    system.run()
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
