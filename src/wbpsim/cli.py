@@ -18,7 +18,7 @@ from .config import ConfigError, RunSetup, apply_overrides, load_config, \
     render_config, with_system
 from .costmodel import CostModel, fit_scaling, load_anchor_file
 from .dag import dump_dag
-from .machine import PortDirection, ProtocolViolation
+from .machine import PortDirection, ProtocolViolation, SimulationStalled
 from .workload import ThroughputReport, build_rx_dag, build_tx_dag, run_experiment
 
 RUN_CSV_HEADER = [
@@ -144,6 +144,10 @@ def cmd_run(args) -> int:
     sys.stdout.write(buffer.getvalue())
     if args.out:
         emit_csv([row], args.out)
+    for message in report.violations:
+        print(f"protocol violation: {message}", file=sys.stderr)
+    if report.violations:
+        return 2
     if setup.link.snr_db is None and report.fidelity_failures:
         print(f"fidelity failures: {report.fidelity_failures}", file=sys.stderr)
         return 1
@@ -269,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     strictness.add_argument("--strict", dest="strict", action="store_true",
                             default=None, help="abort on protocol violations")
     strictness.add_argument("--lenient", dest="strict", action="store_false",
-                            help="log protocol violations and continue")
+                            help="finish the run, then report protocol "
+                                 "violations and exit 2")
     run.add_argument("--no-multithreading", action="store_true")
     run.add_argument("--no-lazy-deletion", action="store_true")
     run.add_argument("--dump-dags", default=None,
@@ -302,6 +307,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SimulationStalled as exc:
+        print(f"stalled: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 from .costmodel import CostParams, DmaTiming
@@ -39,43 +38,49 @@ def _parse_snr(text: str) -> float | None:
     return float(text)
 
 
+# Each default is read from the dataclass that declares it. No dataclass
+# declares the polar code, the rate-match length, the anchors file or the
+# [run] keys other than strict, so those are written here.
+_MACHINE, _COST, _OFDM, _TDD = MachineConfig(), CostParams(), OfdmConfig(), TddPattern()
+_LINK = {f.name: f.default for f in dataclasses.fields(LinkConfig)}
+
 # (section, key) -> (converter, default)
 _SCHEMA: dict[tuple[str, str], tuple] = {
-    ("system", "clusters"): (int, 1),
-    ("system", "tiles_per_cluster"): (int, 4),
-    ("system", "tile_mix"): (str, "L,L,S,S"),
-    ("system", "tspm_bytes"): (int, 131072),
-    ("system", "code_pool_bytes"): (int, 393216),
-    ("system", "fifo_bytes"): (int, 65536),
-    ("system", "load_indication_bytes"): (int, 16384),
-    ("system", "compute_bytes"): (int, 1048576),
-    ("system", "max_threads"): (int, 2),
-    ("system", "clock_mhz"): (float, 500.0),
+    ("system", "clusters"): (int, _MACHINE.clusters),
+    ("system", "tiles_per_cluster"): (int, len(_MACHINE.tile_mix)),
+    ("system", "tile_mix"): (str, ",".join(_MACHINE.tile_mix)),
+    ("system", "tspm_bytes"): (int, _MACHINE.tspm_bytes),
+    ("system", "code_pool_bytes"): (int, _MACHINE.section_bytes["TASK_CODE_POOL"]),
+    ("system", "fifo_bytes"): (int, _MACHINE.section_bytes["FIFO_LISTS"]),
+    ("system", "load_indication_bytes"): (int, _MACHINE.section_bytes["LOAD_INDICATION"]),
+    ("system", "compute_bytes"): (int, _MACHINE.section_bytes["COMPUTE_DATA"]),
+    ("system", "max_threads"): (int, _MACHINE.max_threads),
+    ("system", "clock_mhz"): (float, _MACHINE.clock_hz / 1e6),
     ("link", "polar_n"): (int, 512),
     ("link", "polar_k"): (int, 256),
     ("link", "rate_match_e"): (int, 512),
-    ("link", "c_init"): (int, 1),
-    ("link", "subcarriers"): (int, 128),
-    ("link", "cp_len"): (int, 32),
-    ("link", "bp_iters"): (int, 30),
-    ("link", "users_per_slot"): (int, 5),
-    ("link", "snr_db"): (_parse_snr, None),
-    ("tdd", "pattern"): (str, "DU"),
-    ("tdd", "slot_cycles"): (int, 20000),
+    ("link", "c_init"): (int, _LINK["c_init"]),
+    ("link", "subcarriers"): (int, _OFDM.n_subcarriers),
+    ("link", "cp_len"): (int, _OFDM.cp_len),
+    ("link", "bp_iters"): (int, _LINK["bp_iters"]),
+    ("link", "users_per_slot"): (int, _LINK["users_per_slot"]),
+    ("link", "snr_db"): (_parse_snr, _LINK["snr_db"]),
+    ("tdd", "pattern"): (str, "".join(_TDD.slots)),
+    ("tdd", "slot_cycles"): (int, _TDD.slot_duration_cycles),
     ("cost", "anchors_file"): (str, ""),
-    ("cost", "serial_fraction"): (float, 0.2),
-    ("cost", "ref_lanes"): (int, 64),
-    ("cost", "dma_setup_cycles"): (int, 20),
-    ("cost", "dma_bytes_per_cycle"): (int, 16),
-    ("cost", "csr_write_cycles"): (int, 4),
-    ("cost", "thread_eval_cycles"): (int, 50),
-    ("cost", "scan_visit_cycles"): (int, 10),
-    ("cost", "sched_tick_cycles"): (int, 1000),
+    ("cost", "serial_fraction"): (float, _COST.serial_fraction),
+    ("cost", "ref_lanes"): (int, _COST.ref_lanes),
+    ("cost", "dma_setup_cycles"): (int, _MACHINE.dma.setup_cycles),
+    ("cost", "dma_bytes_per_cycle"): (int, _MACHINE.dma.bytes_per_cycle),
+    ("cost", "csr_write_cycles"): (int, _MACHINE.dma.csr_write_cycles),
+    ("cost", "thread_eval_cycles"): (int, _MACHINE.thread_eval_cycles),
+    ("cost", "scan_visit_cycles"): (int, _MACHINE.scan_visit_cycles),
+    ("cost", "sched_tick_cycles"): (int, _MACHINE.sched_tick_cycles),
     ("run", "n_slots"): (int, 20),
     ("run", "seed"): (int, 1),
     ("run", "multithreading"): (_parse_bool, True),
     ("run", "lazy_deletion"): (_parse_bool, True),
-    ("run", "strict"): (_parse_bool, True),
+    ("run", "strict"): (_parse_bool, _MACHINE.strict),
 }
 
 _SECTIONS = ("system", "link", "tdd", "cost", "run")

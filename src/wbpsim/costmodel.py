@@ -57,13 +57,10 @@ class InsufficientAnchorsError(ValueError):
 class TileTiming:
     lanes: int = 16
     vrf_count: int = 32
-    clock_hz: float = 500e6
 
     def __post_init__(self):
         if self.lanes < 1 or self.lanes & (self.lanes - 1):
             raise ValueError("lane count must be a power of two")
-        if self.clock_hz <= 0:
-            raise ValueError("clock must be positive")
 
 
 @dataclass(frozen=True)

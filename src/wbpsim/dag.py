@@ -132,38 +132,41 @@ class Dag:
     # -- validation and identity ------------------------------------------
 
     def validate(self) -> list[str]:
+        return self._analyse()[0]
+
+    def _analyse(self) -> tuple[list[str], list[str]]:
+        """(problems, topological order) from one successor map.
+
+        The order is Kahn's, queueing each batch of successors a task
+        releases in sorted order; it covers every task only when there is no
+        cycle. Scans follow it, so it must not change.
+        """
         problems = []
-        indeg = {tid: 0 for tid in self.tasks}
+        has_input = dict.fromkeys(self.tasks, False)
+        indeg = dict.fromkeys(self.tasks, 0)
         succ: dict[str, list[str]] = {tid: [] for tid in self.tasks}
         for edge in self.edges:
             if edge.src == edge.dst:
                 problems.append(f"self-loop on {edge.src}")
-                continue
-            if edge.dst != EXTERNAL and edge.src != EXTERNAL:
+            elif edge.dst != EXTERNAL:
+                has_input[edge.dst] = True
+            if edge.src in self.tasks and edge.dst in self.tasks:
                 indeg[edge.dst] += 1
                 succ[edge.src].append(edge.dst)
-            elif edge.dst != EXTERNAL:
-                indeg[edge.dst] += 1
-        for tid, deg in indeg.items():
-            if deg == 0:
-                problems.append(f"task {tid} has no input edge")
-        # Kahn's algorithm; leftovers mean a cycle.
-        internal_indeg = {tid: 0 for tid in self.tasks}
-        for edge in self.edges:
-            if edge.src in self.tasks and edge.dst in self.tasks:
-                internal_indeg[edge.dst] += 1
-        frontier = sorted(t for t, d in internal_indeg.items() if d == 0)
-        seen = 0
-        work = dict(internal_indeg)
-        queue = deque(frontier)
+        problems += [f"task {tid} has no input edge"
+                     for tid, ok in has_input.items() if not ok]
+        queue = deque(sorted(t for t, d in indeg.items() if d == 0))
+        order = []
         while queue:
             tid = queue.popleft()
-            seen += 1
-            for nxt in sorted(succ[tid]):
-                work[nxt] -= 1
-                if work[nxt] == 0:
-                    queue.append(nxt)
-        if seen != len(self.tasks):
+            order.append(tid)
+            released = []
+            for nxt in succ[tid]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    released.append(nxt)
+            queue.extend(sorted(released))
+        if len(order) != len(self.tasks):
             problems.append("graph contains a cycle")
         for rule in self.rules:
             if rule.producer not in self.tasks:
@@ -171,7 +174,13 @@ class Dag:
                 continue
             if len(set(rule.group)) != len(rule.group):
                 problems.append(f"dismissal group of {rule.producer} has duplicates")
-            reachable = self._reachable_from(rule.producer)
+            reachable: set[str] = set()
+            stack = [rule.producer]
+            while stack:
+                for nxt in succ[stack.pop()]:
+                    if nxt not in reachable:
+                        reachable.add(nxt)
+                        stack.append(nxt)
             for member in rule.group:
                 if member not in self.tasks:
                     problems.append(f"dismissal member {member} unknown")
@@ -179,29 +188,14 @@ class Dag:
                     problems.append(f"dismissal group of {rule.producer} contains producer")
                 elif member not in reachable:
                     problems.append(f"{rule.producer} does not reach group member {member}")
-        return problems
-
-    def _reachable_from(self, start: str) -> set[str]:
-        succ: dict[str, list[str]] = {tid: [] for tid in self.tasks}
-        for edge in self.edges:
-            if edge.src in self.tasks and edge.dst in self.tasks:
-                succ[edge.src].append(edge.dst)
-        out: set[str] = set()
-        stack = [start]
-        while stack:
-            tid = stack.pop()
-            for nxt in succ[tid]:
-                if nxt not in out:
-                    out.add(nxt)
-                    stack.append(nxt)
-        return out
+        return problems, order
 
     def freeze(self) -> "Dag":
-        problems = self.validate()
+        problems, order = self._analyse()
         if problems:
             raise ValueError("invalid dag: " + "; ".join(problems))
         self._frozen_id = self._content_hash()
-        self._topo = self._topological_order()
+        self._topo = order
         self._in_edges = {tid: [] for tid in self.tasks}
         self._out_edges = {tid: [] for tid in self.tasks}
         for idx, edge in enumerate(self.edges):
@@ -226,27 +220,6 @@ class Dag:
         }
         blob = json.dumps(canon, sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def _topological_order(self) -> list[str]:
-        indeg = {tid: 0 for tid in self.tasks}
-        succ: dict[str, list[str]] = {tid: [] for tid in self.tasks}
-        for edge in self.edges:
-            if edge.src in self.tasks and edge.dst in self.tasks:
-                indeg[edge.dst] += 1
-                succ[edge.src].append(edge.dst)
-        queue = deque(sorted(t for t, d in indeg.items() if d == 0))
-        order = []
-        while queue:
-            tid = queue.popleft()
-            order.append(tid)
-            ready = []
-            for nxt in succ[tid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-            for nxt in sorted(ready):
-                queue.append(nxt)
-        return order
 
     # -- frozen accessors ---------------------------------------------------
 

@@ -5,6 +5,11 @@ Every kernel is a pure function over numpy arrays: bits are int8 vectors of
 is more likely), and samples are complex128. The simulator uses these as
 task bodies; the tests use them as ground truth, so they must stay bit-exact
 and deterministic (randomness only enters through an explicit generator).
+
+The host only has to compute the right values: what a kernel costs on a
+tile comes from the cost model, not from how it is written here. So the
+transforms use numpy's FFT, and the polar encoder and the decoder's
+early-exit check share one in-place butterfly transform.
 """
 
 from __future__ import annotations
@@ -61,40 +66,17 @@ def _require_pow2(n: int, what: str) -> int:
 # FFT
 
 
-def _bit_reverse_indices(n_bits: int) -> np.ndarray:
-    idx = np.arange(1 << n_bits)
-    rev = np.zeros_like(idx)
-    work = idx.copy()
-    for _ in range(n_bits):
-        rev = (rev << 1) | (work & 1)
-        work >>= 1
-    return rev
-
-
 def fft(x, inverse: bool = False) -> np.ndarray:
-    """Radix-2 decimation-in-time transform along the last axis.
+    """Discrete Fourier transform along the last axis, computed by numpy.
 
     Forward: X[k] = sum_n x[n] exp(-2i pi k n / N). The inverse additionally
-    scales by 1/N so that fft(fft(x), inverse=True) == x.
+    scales by 1/N so that fft(fft(x), inverse=True) == x. N must be a power
+    of two, as for the radix-2 transform that a tile runs and the cost model
+    prices.
     """
     x = as_complex(x)
-    n = x.shape[-1]
-    n_bits = _require_pow2(n, "transform length")
-    y = x[..., _bit_reverse_indices(n_bits)]
-    sign = 1.0 if inverse else -1.0
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / m)
-        y = y.reshape(x.shape[:-1] + (n // m, m))
-        even = y[..., :half]
-        odd = y[..., half:] * tw
-        y = np.concatenate([even + odd, even - odd], axis=-1)
-        y = y.reshape(x.shape)
-        m *= 2
-    if inverse:
-        y = y / n
-    return y
+    _require_pow2(x.shape[-1], "transform length")
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +140,20 @@ class PolarCode:
         return cls(n=n, K=N - len(frozen), frozen_mask=mask)
 
 
+def _polar_transform(u: np.ndarray) -> np.ndarray:
+    """x = u F^(x)n along the last axis, in place on a contiguous int8 array.
+
+    Natural (non-bit-reversed) order; returns ``u``, which now holds x.
+    """
+    lead, size = u.shape[:-1], u.shape[-1]
+    step = 1
+    while step < size:
+        view = u.reshape(lead + (size // (2 * step), 2, step))
+        view[..., 0, :] ^= view[..., 1, :]
+        step *= 2
+    return u
+
+
 def polar_encode(info, code: PolarCode) -> np.ndarray:
     """Encode info bits: u places them at unfrozen positions, x = u F^(x)n.
 
@@ -168,14 +164,7 @@ def polar_encode(info, code: PolarCode) -> np.ndarray:
         raise ValueError(f"expected {code.K} info bits, got {info.shape[-1]}")
     u = np.zeros(info.shape[:-1] + (code.N,), dtype=np.int8)
     u[..., code.info_positions] = info
-    x = u
-    step = 1
-    while step < code.N:
-        x = x.reshape(info.shape[:-1] + (code.N // (2 * step), 2, step))
-        x[..., 0, :] ^= x[..., 1, :]
-        x = x.reshape(info.shape[:-1] + (code.N,))
-        step *= 2
-    return x
+    return _polar_transform(u)
 
 
 def _minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,14 +221,7 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
         if early_exit:
             u_hat = (left[0] + right[0] < 0).astype(np.int8)
             x_hat = (left[stages] + right[stages] < 0).astype(np.int8)
-            enc = u_hat.copy()
-            step = 1
-            while step < size:
-                enc = enc.reshape(batch, size // (2 * step), 2, step)
-                enc[:, :, 0, :] ^= enc[:, :, 1, :]
-                enc = enc.reshape(batch, size)
-                step *= 2
-            if np.array_equal(enc, x_hat):
+            if np.array_equal(_polar_transform(u_hat), x_hat):
                 break
     return left[0] + right[0]
 

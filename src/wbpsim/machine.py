@@ -30,6 +30,11 @@ class ProtocolViolation(RuntimeError):
     """A pack-and-ship invariant was broken (fatal in strict mode)."""
 
 
+class SimulationStalled(RuntimeError):
+    """The run cannot finish: it made no progress, drained with live threads,
+    or exceeded its event budget."""
+
+
 class AllocationFailure(RuntimeError):
     """A scratchpad section could not fit the request (caller backpressures)."""
 
@@ -112,7 +117,7 @@ class EventEngine:
         self._record(event)
         self.dispatched += 1
         if self.dispatched > max_events:
-            raise RuntimeError("event budget exceeded; simulation diverged")
+            raise SimulationStalled("event budget exceeded; simulation diverged")
         handler(event)
 
     def run(self, handler: Callable[[Event], None],
@@ -341,7 +346,7 @@ class Machine:
         self.config = config
         self.engine = EventEngine(trace_path, salt=digest_salt)
         self.clusters: list[ClusterState] = []
-        self.violations = 0
+        self.violation_messages: list[str] = []
         next_tile = 0
         for cid in range(config.clusters):
             tiles = []
@@ -359,10 +364,14 @@ class Machine:
         self.main_dma = DmaEngine("main.dma", config.dma)
         self.tiles = {t.tile_id: t for c in self.clusters for t in c.tiles}
 
+    @property
+    def violations(self) -> int:
+        return len(self.violation_messages)
+
     # -- protocol primitives ------------------------------------------------
 
     def _violate(self, message: str) -> None:
-        self.violations += 1
+        self.violation_messages.append(message)
         if self.config.strict:
             raise ProtocolViolation(message)
 

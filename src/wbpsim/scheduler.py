@@ -37,7 +37,7 @@ from .costmodel import CostModel
 from .dag import (PACK_HEADER_BYTES, BackpressureError, Dag, DagInstance,
                   TaskState, Token)
 from .machine import (AllocationFailure, ClusterState, Event, EventKind,
-                      Machine, TileState)
+                      Machine, SimulationStalled, TileState)
 
 FIFO_RECORD_BYTES = 16
 LOAD_INDICATION_BYTES = 16
@@ -189,7 +189,6 @@ TaskBody = Callable[..., BodyResult]
 class ThreadRun:
     thread: ThreadDescriptor
     cluster_id: int
-    data_address: int
     fifo_region: int
     input_regions: list[int]
     shipped_dag_bytes: int = 0
@@ -500,9 +499,9 @@ class MainScheduler:
         return ok
 
     def _alloc_thread(self, cluster: ClusterState, thread: ThreadDescriptor,
-                      dag_bytes: int | None) -> tuple[int, int, list[int], int] | None:
+                      dag_bytes: int | None) -> tuple[int, int, list[int]] | None:
         """Reserve sections for a placement; returns (code_region, fifo_region,
-        input_regions, data_address) with code_region == -1 for data-only."""
+        input_regions) with code_region == -1 for data-only."""
         code_region = -1
         fifo_region = -1
         input_regions: list[int] = []
@@ -522,32 +521,16 @@ class MainScheduler:
             for region in input_regions:
                 cluster.section("COMPUTE_DATA").free_region(region)
             return None
-        if input_regions:
-            address = cluster.section("COMPUTE_DATA").offset_of(input_regions[0])
-        else:
-            address = 0
-        return code_region, fifo_region, input_regions, address
+        return code_region, fifo_region, input_regions
 
     # -- the thread-level scheduling pass ---------------------------------------
 
-    def evaluate(self, now: int) -> dict[int, int]:
-        """One pass over pending threads; returns tid -> data start address."""
-        if not self.pending:
-            return {}
-        cfg = self.system.machine.config
-        addresses: dict[int, int] = {}
-        remaining: list[ThreadDescriptor] = []
-        evals = 0
-        for thread in self.pending:
-            evals += 1
-            decision_time = now + evals * cfg.thread_eval_cycles
-            address = self._try_place(thread, now, decision_time)
-            if address is None:
-                remaining.append(thread)
-            else:
-                addresses[thread.tid] = address
-        self.pending = remaining
-        return addresses
+    def evaluate(self, now: int) -> None:
+        """One pass over pending threads; unplaced ones stay pending."""
+        eval_cycles = self.system.machine.config.thread_eval_cycles
+        self.pending = [
+            thread for evals, thread in enumerate(self.pending, start=1)
+            if not self._try_place(thread, now, now + evals * eval_cycles)]
 
     def _register_entry(self, thread: ThreadDescriptor, cluster_id: int,
                         code_region: int, dag_bytes: int, now: int) -> None:
@@ -556,17 +539,16 @@ class MainScheduler:
             code_region=code_region, code_bytes=dag_bytes))
 
     def _place(self, thread: ThreadDescriptor, cluster_id: int, now: int,
-               decision_time: int, ship_dag: bool, register: bool) -> int | None:
+               decision_time: int, ship_dag: bool, register: bool) -> bool:
         cluster = self.system.cluster_scheds[cluster_id].cluster
         dag_bytes = thread.dag.packed_bytes
         alloc = self._alloc_thread(cluster, thread, dag_bytes if ship_dag else None)
         if alloc is None:
             self.system.metrics.backpressure_events += 1
-            return None
-        code_region, fifo_region, input_regions, address = alloc
+            return False
+        code_region, fifo_region, input_regions = alloc
         run = ThreadRun(thread=thread, cluster_id=cluster_id,
-                        data_address=address, fifo_region=fifo_region,
-                        input_regions=input_regions)
+                        fifo_region=fifo_region, input_regions=input_regions)
         data_bytes = sum(t.byte_size for t in thread.inputs)
         transfer_bytes = data_bytes
         if ship_dag:
@@ -589,18 +571,17 @@ class MainScheduler:
         self.system.machine.main_transfer(
             decision_time, transfer_bytes, cluster_id, thread.tid,
             ctx=("thread_payload", run))
-        return address
+        return True
 
     def _try_place(self, thread: ThreadDescriptor, now: int,
-                   decision_time: int) -> int | None:
+                   decision_time: int) -> bool:
         # (a) residency hit: ship data only.
         cid = self.code_deployed(thread)
         if cid is not None:
-            address = self._place(thread, cid, now, decision_time,
-                                  ship_dag=False, register=False)
-            if address is not None:
+            if self._place(thread, cid, now, decision_time,
+                           ship_dag=False, register=False):
                 self.decisions.append(Decision(now, thread.tid, "hit", cid))
-                return address
+                return True
         # (b) ask each cluster in ascending id order for admission.
         for sched in self.system.cluster_scheds:
             cid = sched.cluster.cluster_id
@@ -609,29 +590,23 @@ class MainScheduler:
             # The literal control flow jumps straight to packing here;
             # by default we also register so later lookups can hit.
             already = self.table.lookup(thread.dag.dag_id, cid) is not None
-            address = self._place(thread, cid, now, decision_time,
-                                  ship_dag=not already,
-                                  register=not self.strict_algorithm)
-            if address is not None:
+            if self._place(thread, cid, now, decision_time, ship_dag=not already,
+                           register=not self.strict_algorithm):
                 self.decisions.append(Decision(now, thread.tid, "hit" if already
                                                else "admit", cid))
-                return address
+                return True
         # (c) evict the least-recently-used idle dag and place there.
         cid = self.get_cluster_lru(thread)
         if cid is None:
             self.decisions.append(Decision(now, thread.tid, "wait"))
             self.system.metrics.backpressure_events += 1
-            return None
-        evicted = self._evict_until_fit(cid, thread)
-        address = self._place(thread, cid, now, decision_time,
-                              ship_dag=True, register=True)
-        if address is None:
-            self.decisions.append(Decision(now, thread.tid, "wait", cid,
-                                           tuple(evicted)))
-            return None
-        self.decisions.append(Decision(now, thread.tid, "evict", cid,
-                                       tuple(evicted)))
-        return address
+            return False
+        evicted = tuple(self._evict_until_fit(cid, thread))
+        placed = self._place(thread, cid, now, decision_time,
+                             ship_dag=True, register=True)
+        self.decisions.append(Decision(now, thread.tid,
+                                       "evict" if placed else "wait", cid, evicted))
+        return placed
 
     def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> list[str]:
         """Free idle LRU entries on the cluster until the bundle would fit."""
@@ -721,11 +696,14 @@ class System:
 
     def run(self) -> None:
         self._post_tick(self.machine.config.sched_tick_cycles)
-        self.machine.engine.run(self.handle)
-        unfinished = [t.tid for t in self.threads.values()
-                      if t.status is not ThreadStatus.DONE]
-        if unfinished:
-            raise RuntimeError(f"simulation drained with live threads {unfinished}")
+        try:
+            self.machine.engine.run(self.handle)
+        except SimulationStalled as exc:
+            raise SimulationStalled(
+                f"{exc}; stuck threads {self._live_tids()}") from None
+        live = self._live_tids()
+        if live:
+            raise SimulationStalled(f"simulation drained with live threads {live}")
 
     def execute_body(self, spec, tokens, thread) -> BodyResult:
         return self.body_fn(spec, [t.payload for t in tokens], thread)
@@ -745,8 +723,9 @@ class System:
             self.machine.engine.post(Event(time=time, kind=EventKind.SCHED_TICK))
             self._tick_posted = True
 
-    def _any_live_thread(self) -> bool:
-        return any(t.status is not ThreadStatus.DONE for t in self.threads.values())
+    def _live_tids(self) -> list[int]:
+        return [t.tid for t in self.threads.values()
+                if t.status is not ThreadStatus.DONE]
 
     def _check_progress(self, now: int) -> None:
         """Fail fast when live threads exist but nothing can ever advance."""
@@ -763,11 +742,9 @@ class System:
             return
         self._stall_ticks += 1
         if self._stall_ticks >= 10:
-            stuck = [t.tid for t in self.threads.values()
-                     if t.status is not ThreadStatus.DONE]
-            raise RuntimeError(
-                f"scheduler made no progress for {self._stall_ticks} ticks; "
-                f"stuck threads {stuck}")
+            # run() adds the stuck threads to the message.
+            raise SimulationStalled(
+                f"scheduler made no progress for {self._stall_ticks} ticks")
 
     def handle(self, event: Event) -> None:
         now = event.time
@@ -781,7 +758,7 @@ class System:
             for sched in self.cluster_scheds:
                 sched.retry_stalled(now)
                 sched.scan(now)
-            if self._any_live_thread():
+            if self._live_tids():
                 self._check_progress(now)
                 self._post_tick(now + self.machine.config.sched_tick_cycles)
         elif event.kind is EventKind.DMA_DONE:

@@ -435,6 +435,7 @@ class ThroughputReport:
     fidelity_failures: int
     threads_completed: int
     decisions: tuple
+    violations: tuple[str, ...] = ()  # protocol violations a lenient run kept
 
 
 def throughput_mbps(info_bits: int, simulated_cycles: int, clock_hz: float) -> float:
@@ -514,4 +515,5 @@ def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
         fidelity_failures=failures,
         threads_completed=len(system.finished_runs),
         decisions=tuple(system.main.decisions),
+        violations=tuple(machine.violation_messages),
     )

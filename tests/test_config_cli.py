@@ -96,6 +96,57 @@ def test_render_config_echoes_every_key_and_roundtrips():
     assert again.config_id() == setup.config_id()
 
 
+DEFAULTS_TEXT = """[system]
+clock_mhz = 500.0
+clusters = 1
+code_pool_bytes = 393216
+compute_bytes = 1048576
+fifo_bytes = 65536
+load_indication_bytes = 16384
+max_threads = 2
+tile_mix = L,L,S,S
+tiles_per_cluster = 4
+tspm_bytes = 131072
+
+[link]
+bp_iters = 30
+c_init = 1
+cp_len = 32
+polar_k = 256
+polar_n = 512
+rate_match_e = 512
+snr_db = inf
+subcarriers = 128
+users_per_slot = 5
+
+[tdd]
+pattern = DU
+slot_cycles = 20000
+
+[cost]
+anchors_file =\x20
+csr_write_cycles = 4
+dma_bytes_per_cycle = 16
+dma_setup_cycles = 20
+ref_lanes = 64
+scan_visit_cycles = 10
+sched_tick_cycles = 1000
+serial_fraction = 0.2
+thread_eval_cycles = 50
+
+[run]
+lazy_deletion = true
+multithreading = true
+n_slots = 20
+seed = 1
+strict = true
+"""
+
+
+def test_render_config_of_empty_text_is_every_default():
+    assert render_config(parse_config("")) == DEFAULTS_TEXT
+
+
 def test_overrides_and_with_system():
     setup = parse_config(MINIMAL)
     changed = apply_overrides(setup, seed=99, multithreading=False)
@@ -192,6 +243,28 @@ def test_cmd_run_fault_injection_nonzero_exit(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     monkeypatch.setenv("WBPSIM_INJECT_FAULT", "port")
     assert main(["run", cfg]) == 2
+
+
+def test_cmd_run_lenient_reports_violations(tmp_path, monkeypatch, capsys):
+    # A lenient run finishes and writes its row, then names each violation.
+    cfg = write_config(tmp_path)
+    out_csv = tmp_path / "row.csv"
+    monkeypatch.setenv("WBPSIM_INJECT_FAULT", "port")
+    assert main(["run", cfg, "--lenient", "--out", str(out_csv)]) == 2
+    assert capsys.readouterr().err == \
+        "protocol violation: tile 1: DMA finished with port at core\n"
+    with open(out_csv, newline="") as fh:
+        assert len(list(csv.reader(fh))) == 2
+
+
+def test_cmd_run_stall_exits_3_and_names_stuck_threads(tmp_path, capsys):
+    # No task fits a 2000-byte tile scratchpad, so nothing is ever dispatched.
+    text = open("configs/example.cfg").read().replace(
+        "[system]\n", "[system]\ntspm_bytes = 2000\n")
+    assert main(["run", write_config(tmp_path, text)]) == 3
+    assert capsys.readouterr().err == (
+        "stalled: scheduler made no progress for 10 ticks; "
+        "stuck threads [0, 1, 2, 3, 4, 5, 6, 7]\n")
 
 
 def test_cmd_run_dump_dags(tmp_path):

@@ -58,17 +58,23 @@ def test_validate_reports_violations():
     loop.add_task(spec("a"))
     loop.add_edge("EXTERNAL", "a")
     loop.add_edge("a", "a")
-    assert any("self-loop" in v for v in loop.validate())
+    assert loop.validate() == ["self-loop on a", "graph contains a cycle"]
     cyc = Dag()
     cyc.add_task(spec("a"))
     cyc.add_task(spec("b"))
     cyc.add_edge("EXTERNAL", "a")
     cyc.add_edge("a", "b")
     cyc.add_edge("b", "a")
-    assert any("cycle" in v for v in cyc.validate())
+    assert cyc.validate() == ["graph contains a cycle"]
     orphan = Dag()
     orphan.add_task(spec("a"))
-    assert any("no input edge" in v for v in orphan.validate())
+    assert orphan.validate() == ["task a has no input edge"]
+    # A self-loop is no input edge, and problems come in a fixed order.
+    only_loop = Dag()
+    only_loop.add_task(spec("a"))
+    only_loop.add_edge("a", "a")
+    assert only_loop.validate() == ["self-loop on a", "task a has no input edge",
+                                    "graph contains a cycle"]
 
 
 def test_validate_checks_dismissal_reachability():
@@ -87,7 +93,22 @@ def test_validate_checks_dismissal_reachability():
     bad.add_edge("EXTERNAL", "p")
     bad.add_edge("EXTERNAL", "g0")
     bad.add_dismissal("p", ["g0"])
-    assert any("does not reach" in v for v in bad.validate())
+    assert bad.validate() == ["p does not reach group member g0"]
+    rules = Dag()
+    for t in ("p", "g0", "g1"):
+        rules.add_task(spec(t))
+    rules.add_edge("EXTERNAL", "p")
+    rules.add_edge("p", "g0")
+    rules.add_edge("EXTERNAL", "g1")
+    rules.add_dismissal("ghost", ["g0"])
+    rules.add_dismissal("p", ["g0", "g0", "p", "nobody", "g1"])
+    assert rules.validate() == [
+        "dismissal producer ghost unknown",
+        "dismissal group of p has duplicates",
+        "dismissal group of p contains producer",
+        "dismissal member nobody unknown",
+        "p does not reach group member g1",
+    ]
 
 
 def test_dag_id_stable_under_insertion_order():

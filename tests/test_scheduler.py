@@ -137,9 +137,11 @@ def test_get_cluster_lru_picks_oldest_with_tiebreak():
     assert system.main.get_cluster_lru(probe) == 1
 
 
-def test_evaluate_empty_pending_returns_empty_address_set():
+def test_evaluate_empty_pending_records_nothing():
     system = build_system()
-    assert system.main.evaluate(0) == {}
+    system.main.evaluate(0)
+    assert system.main.decisions == []
+    assert system.main.pending == []
 
 
 def test_residency_hit_ships_data_only():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wbpsim.config import parse_config
 from wbpsim.dag import TaskState
 from wbpsim.kernels import OfdmConfig, PolarCode
 from wbpsim.machine import MachineConfig
@@ -55,6 +56,18 @@ def test_rx_dag_worst_case_shape():
     assert dag.topo_order[0] == "rx_ofdm"
     rule = dag.dismissal_rule("rx_blind")
     assert rule is not None and rule.max_count == 20
+
+
+def test_link_dag_topological_orders():
+    # Scan order follows topo_order, so it must stay the sorted-batch Kahn
+    # order: each released batch of successors is queued in sorted order.
+    setup = parse_config("")
+    stages = ("enc", "rm", "scr", "mod", "ofdm")
+    assert build_tx_dag(setup.link).topo_order == \
+        [f"{stage}_u{u:02d}" for stage in stages for u in range(5)] + ["tx_sink"]
+    assert build_rx_dag(setup.link).topo_order == \
+        ["rx_ofdm", "rx_ls", "rx_zf", "rx_demod", "rx_descr", "rx_recover",
+         "rx_blind"] + [f"dec_u{u:02d}" for u in range(20)] + ["rx_sink"]
 
 
 def test_rx_dag_id_changes_with_link_parameters():
