@@ -16,7 +16,8 @@ from multiprocessing import Pool
 
 from .config import ConfigError, RunSetup, apply_overrides, load_config, \
     render_config, with_system
-from .costmodel import CostModel, fit_scaling, load_anchor_file
+from .costmodel import (CostModel, InsufficientAnchorsError, fit_scaling,
+                        load_anchor_file)
 from .dag import dump_dag
 from .machine import PortDirection, ProtocolViolation, SimulationStalled
 from .workload import ThroughputReport, build_rx_dag, build_tx_dag, run_experiment
@@ -79,9 +80,12 @@ def report_row(setup: RunSetup, report: ThroughputReport) -> list:
 
 
 def _cost_model(setup: RunSetup) -> CostModel:
-    if setup.anchors_file:
+    if not setup.anchors_file:
+        return CostModel.default(setup.cost_params)
+    try:
         return CostModel.from_anchor_file(setup.anchors_file, setup.cost_params)
-    return CostModel.default(setup.cost_params)
+    except ValueError as exc:
+        raise ConfigError(f"cost.anchors_file {setup.anchors_file}: {exc}") from None
 
 
 def execute(setup: RunSetup, trace_path: str | None = None,
@@ -161,9 +165,12 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
         if not part:
             continue
         c, _, t = part.partition("x")
-        points.append((int(c), int(t)))
+        try:
+            points.append((int(c), int(t)))
+        except ValueError:
+            raise ConfigError(f"--grid point {part!r} is not CxT, e.g. 4x3") from None
     if not points:
-        raise ValueError("empty sweep grid")
+        raise ConfigError("empty sweep grid")
     return points
 
 
@@ -191,7 +198,11 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else \
         [(c, t) for c in SWEEP_CLUSTERS for t in SWEEP_TILES]
     jobs = [(setup, c, t) for c, t in grid]
-    workers = int(os.environ.get("WBPSIM_WORKERS", "1"))
+    try:
+        workers = int(os.environ.get("WBPSIM_WORKERS", "1"))
+    except ValueError:
+        raise ConfigError("WBPSIM_WORKERS must be an integer, got "
+                          f"{os.environ['WBPSIM_WORKERS']!r}") from None
     if workers > 1:
         with Pool(min(workers, len(jobs))) as pool:
             rows = pool.map(_sweep_point, jobs)
@@ -240,13 +251,21 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    anchors = load_anchor_file(args.anchors)
+    try:
+        anchors = load_anchor_file(args.anchors)
+    except ValueError as exc:
+        raise ConfigError(f"{args.anchors}: {exc}") from None
     per_kernel: dict[str, list] = {}
     for anchor in anchors:
         per_kernel.setdefault(anchor.kernel, []).append(anchor)
+    fits = []  # all fits first, so a bad kernel prints nothing
     for kernel in sorted(per_kernel):
         group = sorted(per_kernel[kernel], key=lambda a: a.size)
-        a, b, residuals = fit_scaling(group)
+        try:
+            fits.append((kernel, group, fit_scaling(group)))
+        except InsufficientAnchorsError as exc:
+            raise ConfigError(f"{args.anchors}: {kernel}: {exc}") from None
+    for kernel, group, (a, b, residuals) in fits:
         print(f"{kernel}: a={a:.6f} b={b:.3f}")
         for anchor, res in zip(group, residuals):
             print(f"  size={anchor.size} cycles={anchor.cycles} "

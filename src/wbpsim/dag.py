@@ -256,7 +256,7 @@ class Dag:
 
 
 class BackpressureError(RuntimeError):
-    """FIFO at capacity; the caller should retry later."""
+    """FIFO at capacity."""
 
 
 class DagInstance:
@@ -286,7 +286,6 @@ class DagInstance:
         self.push_counts = {i: 0 for i in range(len(dag.edges))}
         self.pop_counts = {i: 0 for i in range(len(dag.edges))}
         self.outputs: dict[str, list[Token]] = {}
-        self.returns: dict[str, Any] = {}
         self.missing = {tid: len(dag._in_edges[tid]) for tid in dag.tasks}
         self._pending = list(range(len(dag._topo)))
         self._ready: set[int] = set()

@@ -239,16 +239,12 @@ class DmaEngine:
         self.name = name
         self.timing = timing
         self.busy_until = 0
-        self.total_bytes = 0
-        self.transfers = 0
 
     def reserve(self, request_time: int, nbytes: int) -> tuple[int, int]:
         """Returns (start, done) for a burst submitted at request_time."""
         start = max(request_time, self.busy_until)
         done = start + dma_cycles(nbytes, self.timing)
         self.busy_until = done
-        self.total_bytes += nbytes
-        self.transfers += 1
         return start, done
 
 
@@ -287,7 +283,6 @@ class TileState:
     return_value_count: int = 0
     busy_cycles: int = 0
     last_finish: int = -1
-    current: Any = None  # in-flight task record owned by the cluster scheduler
 
 
 @dataclass
@@ -441,7 +436,6 @@ class Machine:
     def release_tile(self, tile: TileState, now: int) -> None:
         tile.run_state = RunState.IDLE
         tile.last_finish = now
-        tile.current = None
 
     def main_transfer(self, now: int, nbytes: int, cluster_id: int,
                       thread: int, ctx: Any) -> Event:

@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .costmodel import CostModel
-from .dag import (PACK_HEADER_BYTES, BackpressureError, Dag, DagInstance,
-                  TaskState, Token)
+from .dag import PACK_HEADER_BYTES, Dag, DagInstance, TaskState, Token
 from .machine import (AllocationFailure, ClusterState, Event, EventKind,
-                      Machine, SimulationStalled, TileState)
+                      Machine, RunState, SimulationStalled, TileState)
 
 FIFO_RECORD_BYTES = 16
 LOAD_INDICATION_BYTES = 16
@@ -72,7 +71,6 @@ class TableEntry:
     cluster_id: int
     last_used: int
     code_region: int
-    code_bytes: int
 
 
 class DeploymentTable:
@@ -141,7 +139,7 @@ def mem_unpack(payload: PackedPayload) -> tuple[str, tuple[Token, ...]]:
     return payload.dag_id, payload.tokens
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     time: int
     thread: int
@@ -173,13 +171,21 @@ class BodyResult:
 
     ``edge_outputs`` aligns with dag.out_edges(task); ``None`` entries are
     only legal when the destination task was dismissed. ``cost_items`` is a
-    list of (kernel_kind, size, count) contributions.
+    list of (kernel_kind, size, count) contributions. ``returned_tokens``
+    lists what the tile hands back: the edge outputs that are not None,
+    then the thread output.
     """
 
     edge_outputs: list[Token | None]
     cost_items: list[tuple[str, int, int]]
     thread_output: Token | None = None
     scalar_return: int | None = None
+
+    def returned_tokens(self) -> list[Token]:
+        tokens = [t for t in self.edge_outputs if t is not None]
+        if self.thread_output is not None:
+            tokens.append(self.thread_output)
+        return tokens
 
 
 TaskBody = Callable[..., BodyResult]
@@ -190,8 +196,6 @@ class ThreadRun:
     thread: ThreadDescriptor
     cluster_id: int
     fifo_region: int
-    input_regions: list[int]
-    shipped_dag_bytes: int = 0
     anon_code_region: int | None = None
     instance: DagInstance | None = None
     completed_at: int | None = None
@@ -204,11 +208,8 @@ class TaskRun:
     tile: TileState
     result: BodyResult
     cycles: int
-    in_bytes: int
-    out_bytes: int
     indication_region: int
     output_regions: list[int] = field(default_factory=list)
-    run_start: int = -1
 
 
 class ClusterScheduler:
@@ -221,7 +222,6 @@ class ClusterScheduler:
         self.cluster = cluster
         self.residents: OrderedDict[int, ThreadRun] = OrderedDict()
         self.stalled_retrievals: list[TaskRun] = []
-        self.pending_pushes: list[tuple[ThreadRun, int, Token]] = []
 
     # -- admission ----------------------------------------------------------
 
@@ -300,18 +300,12 @@ class ClusterScheduler:
             return None
         tokens = instance.pop_inputs(task_id)
         for token in tokens:
-            if token.region is not None:
-                self.cluster.section("COMPUTE_DATA").free_region(token.region)
+            self.cluster.section("COMPUTE_DATA").free_region(token.region)
         result = self.system.execute_body(spec, tokens, run.thread)
         cycles = self.system.cost_of(result, tile)
-        out_bytes = sum(t.byte_size for t in result.edge_outputs if t is not None)
-        if result.thread_output is not None:
-            out_bytes += result.thread_output.byte_size
         instance.set_state(task_id, TaskState.DISPATCHED)
         task_run = TaskRun(run=run, task_id=task_id, tile=tile, result=result,
-                           cycles=cycles, in_bytes=in_bytes, out_bytes=out_bytes,
-                           indication_region=ind_region)
-        tile.current = task_run
+                           cycles=cycles, indication_region=ind_region)
         self.system.metrics.dispatched_tasks += 1
         self.system.machine.begin_deploy(
             self.cluster, tile, spec.code_bytes, in_bytes, now,
@@ -322,9 +316,7 @@ class ClusterScheduler:
 
     def start_retrieval(self, task_run: TaskRun, now: int) -> bool:
         compute = self.cluster.section("COMPUTE_DATA")
-        needed = [t for t in task_run.result.edge_outputs if t is not None]
-        if task_run.result.thread_output is not None:
-            needed.append(task_run.result.thread_output)
+        needed = task_run.result.returned_tokens()
         regions = []
         try:
             for token in needed:
@@ -337,7 +329,7 @@ class ClusterScheduler:
             return False
         task_run.output_regions = regions
         self.system.machine.begin_retrieval(
-            self.cluster, task_run.tile, task_run.out_bytes, now,
+            self.cluster, task_run.tile, sum(t.byte_size for t in needed), now,
             ctx=("retrieval", task_run), thread=task_run.run.thread.tid,
             task=task_run.task_id)
         return True
@@ -346,15 +338,14 @@ class ClusterScheduler:
         stalled, self.stalled_retrievals = self.stalled_retrievals, []
         for task_run in stalled:
             self.start_retrieval(task_run, now)
-        pushes, self.pending_pushes = self.pending_pushes, []
-        for run, edge_idx, token in pushes:
-            try:
-                run.instance.push_token(edge_idx, token)
-            except BackpressureError:
-                self.system.metrics.backpressure_events += 1
-                self.pending_pushes.append((run, edge_idx, token))
 
     def complete_task(self, task_run: TaskRun, now: int) -> None:
+        """Free the tile, apply dismissal, and queue the retrieved tokens.
+
+        A task completes once and pushes at most one token per out-edge, so
+        each FIFO of an instance receives one token in its life; a FIFO holds
+        at least one, so these pushes never meet backpressure.
+        """
         run = task_run.run
         instance = run.instance
         dag = run.thread.dag
@@ -363,8 +354,6 @@ class ClusterScheduler:
         task_run.tile.busy_cycles += task_run.cycles
         self.cluster.section("LOAD_INDICATION").free_region(task_run.indication_region)
         instance.set_state(task_id, TaskState.DONE)
-        if task_run.result.scalar_return is not None:
-            instance.returns[task_id] = task_run.result.scalar_return
         rule = dag.dismissal_rule(task_id)
         if rule is not None:
             observed = task_run.result.scalar_return
@@ -386,11 +375,7 @@ class ClusterScheduler:
                 # Successor pruned after this body was computed; drop the token.
                 self.cluster.section("COMPUTE_DATA").free_region(token.region)
                 continue
-            try:
-                instance.push_token(edge_idx, token)
-            except BackpressureError:
-                self.system.metrics.backpressure_events += 1
-                self.pending_pushes.append((run, edge_idx, token))
+            instance.push_token(edge_idx, token)
         if task_run.result.thread_output is not None:
             token = dataclasses.replace(task_run.result.thread_output,
                                         region=next(region_iter))
@@ -403,13 +388,11 @@ class ClusterScheduler:
         compute = self.cluster.section("COMPUTE_DATA")
         for fifo in run.instance.fifos.values():
             for token in fifo:
-                if token.region is not None:
-                    compute.free_region(token.region)
+                compute.free_region(token.region)
             fifo.clear()
         for tokens in run.instance.outputs.values():
             for token in tokens:
-                if token.region is not None:
-                    compute.free_region(token.region)
+                compute.free_region(token.region)
         self.cluster.section("FIFO_LISTS").free_region(run.fifo_region)
         self.cluster.active_threads.discard(run.thread.tid)
         run.thread.advance(ThreadStatus.DONE)
@@ -499,12 +482,14 @@ class MainScheduler:
         return ok
 
     def _alloc_thread(self, cluster: ClusterState, thread: ThreadDescriptor,
-                      dag_bytes: int | None) -> tuple[int, int, list[int]] | None:
-        """Reserve sections for a placement; returns (code_region, fifo_region,
-        input_regions) with code_region == -1 for data-only."""
+                      dag_bytes: int | None) -> tuple[int, int]:
+        """Reserve sections for a placement and tag the thread's input tokens
+        with their data regions; returns (code_region, fifo_region) with
+        code_region == -1 for data-only. Raises AllocationFailure, having
+        released everything, when a section has no room."""
         code_region = -1
         fifo_region = -1
-        input_regions: list[int] = []
+        regions: list[int] = []
         try:
             if dag_bytes is not None:
                 code_region = cluster.section("TASK_CODE_POOL").alloc(dag_bytes)
@@ -512,16 +497,18 @@ class MainScheduler:
                 max(1, len(thread.dag.edges) * FIFO_RECORD_BYTES))
             compute = cluster.section("COMPUTE_DATA")
             for token in thread.inputs:
-                input_regions.append(compute.alloc(token.byte_size))
+                regions.append(compute.alloc(token.byte_size))
         except AllocationFailure:
             if code_region != -1:
                 cluster.section("TASK_CODE_POOL").free_region(code_region)
             if fifo_region != -1:
                 cluster.section("FIFO_LISTS").free_region(fifo_region)
-            for region in input_regions:
+            for region in regions:
                 cluster.section("COMPUTE_DATA").free_region(region)
-            return None
-        return code_region, fifo_region, input_regions
+            raise
+        thread.inputs = [dataclasses.replace(token, region=region)
+                         for token, region in zip(thread.inputs, regions)]
+        return code_region, fifo_region
 
     # -- the thread-level scheduling pass ---------------------------------------
 
@@ -532,32 +519,23 @@ class MainScheduler:
             thread for evals, thread in enumerate(self.pending, start=1)
             if not self._try_place(thread, now, now + evals * eval_cycles)]
 
-    def _register_entry(self, thread: ThreadDescriptor, cluster_id: int,
-                        code_region: int, dag_bytes: int, now: int) -> None:
-        self.table.record(TableEntry(
-            dag_id=thread.dag.dag_id, cluster_id=cluster_id, last_used=now,
-            code_region=code_region, code_bytes=dag_bytes))
-
     def _place(self, thread: ThreadDescriptor, cluster_id: int, now: int,
-               decision_time: int, ship_dag: bool, register: bool) -> bool:
+               decision_time: int, ship_dag: bool, register: bool) -> None:
+        """Reserve the cluster's sections and ship the bundle; raises
+        AllocationFailure when they have no room."""
         cluster = self.system.cluster_scheds[cluster_id].cluster
         dag_bytes = thread.dag.packed_bytes
-        alloc = self._alloc_thread(cluster, thread, dag_bytes if ship_dag else None)
-        if alloc is None:
-            self.system.metrics.backpressure_events += 1
-            return False
-        code_region, fifo_region, input_regions = alloc
+        code_region, fifo_region = self._alloc_thread(
+            cluster, thread, dag_bytes if ship_dag else None)
         run = ThreadRun(thread=thread, cluster_id=cluster_id,
-                        fifo_region=fifo_region, input_regions=input_regions)
-        data_bytes = sum(t.byte_size for t in thread.inputs)
-        transfer_bytes = data_bytes
+                        fifo_region=fifo_region)
+        transfer_bytes = sum(t.byte_size for t in thread.inputs)
         if ship_dag:
             transfer_bytes += dag_bytes
-            run.shipped_dag_bytes = dag_bytes
             self.system.metrics.dag_transfers += 1
             if register:
-                self._register_entry(thread, cluster_id, code_region,
-                                     dag_bytes, now)
+                self.table.record(TableEntry(thread.dag.dag_id, cluster_id,
+                                             now, code_region))
             else:
                 run.anon_code_region = code_region
         else:
@@ -571,29 +549,28 @@ class MainScheduler:
         self.system.machine.main_transfer(
             decision_time, transfer_bytes, cluster_id, thread.tid,
             ctx=("thread_payload", run))
-        return True
 
     def _try_place(self, thread: ThreadDescriptor, now: int,
                    decision_time: int) -> bool:
-        # (a) residency hit: ship data only.
+        # (a) residency hit: ship data only. code_deployed checked the same
+        # FIFO and input fit that _place reserves, so it cannot fail.
         cid = self.code_deployed(thread)
         if cid is not None:
-            if self._place(thread, cid, now, decision_time,
-                           ship_dag=False, register=False):
-                self.decisions.append(Decision(now, thread.tid, "hit", cid))
-                return True
-        # (b) ask each cluster in ascending id order for admission.
+            self._place(thread, cid, now, decision_time,
+                        ship_dag=False, register=False)
+            self.decisions.append(Decision(now, thread.tid, "hit", cid))
+            return True
+        # (b) ask each cluster in ascending id order for admission. A holder
+        # of the dag that passes the query was already taken in (a), so the
+        # dag is shipped; the query checked every section _place reserves.
+        # The literal control flow jumps straight to packing here; by
+        # default we also register so later lookups can hit.
         for sched in self.system.cluster_scheds:
             cid = sched.cluster.cluster_id
-            if not self.thread_manager_query(cid, thread):
-                continue
-            # The literal control flow jumps straight to packing here;
-            # by default we also register so later lookups can hit.
-            already = self.table.lookup(thread.dag.dag_id, cid) is not None
-            if self._place(thread, cid, now, decision_time, ship_dag=not already,
-                           register=not self.strict_algorithm):
-                self.decisions.append(Decision(now, thread.tid, "hit" if already
-                                               else "admit", cid))
+            if self.thread_manager_query(cid, thread):
+                self._place(thread, cid, now, decision_time, ship_dag=True,
+                            register=not self.strict_algorithm)
+                self.decisions.append(Decision(now, thread.tid, "admit", cid))
                 return True
         # (c) evict the least-recently-used idle dag and place there.
         cid = self.get_cluster_lru(thread)
@@ -602,11 +579,15 @@ class MainScheduler:
             self.system.metrics.backpressure_events += 1
             return False
         evicted = tuple(self._evict_until_fit(cid, thread))
-        placed = self._place(thread, cid, now, decision_time,
-                             ship_dag=True, register=True)
-        self.decisions.append(Decision(now, thread.tid,
-                                       "evict" if placed else "wait", cid, evicted))
-        return placed
+        try:
+            self._place(thread, cid, now, decision_time,
+                        ship_dag=True, register=True)
+        except AllocationFailure:
+            self.system.metrics.backpressure_events += 1
+            self.decisions.append(Decision(now, thread.tid, "wait", cid, evicted))
+            return False
+        self.decisions.append(Decision(now, thread.tid, "evict", cid, evicted))
+        return True
 
     def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> list[str]:
         """Free idle LRU entries on the cluster until the bundle would fit."""
@@ -627,16 +608,16 @@ class MainScheduler:
 
     def on_thread_done(self, run: ThreadRun, now: int) -> None:
         key = (run.thread.dag.dag_id, run.cluster_id)
-        self.active_dag_threads[key] = self.active_dag_threads.get(key, 1) - 1
+        self.active_dag_threads[key] -= 1
         cluster = self.system.cluster_scheds[run.cluster_id].cluster
         if run.anon_code_region is not None:
             # Unregistered placement (literal control flow): nothing retains
             # the code once its thread ends.
             cluster.section("TASK_CODE_POOL").free_region(run.anon_code_region)
             return
-        entry = self.table.lookup(run.thread.dag.dag_id, run.cluster_id)
-        if entry is None:
-            return
+        # A registered entry outlives its threads: eviction and eager
+        # deletion only drop entries that no live thread uses.
+        entry = self.table.entries[key]
         if self.system.lazy_deletion:
             entry.last_used = now
         elif self.active_dag_threads[key] == 0:
@@ -728,9 +709,13 @@ class System:
                 if t.status is not ThreadStatus.DONE]
 
     def _check_progress(self, now: int) -> None:
-        """Fail fast when live threads exist but nothing can ever advance."""
-        from .machine import RunState
-        busy = any(t.run_state is not RunState.IDLE
+        """Fail fast when live threads exist but nothing can ever advance.
+
+        Only loading and running tiles count as busy: a returning tile whose
+        retrieval is in flight keeps its cluster DMA busy, and one whose
+        retrieval stalled waits on scratchpad space, not on time.
+        """
+        busy = any(t.run_state in (RunState.LOADING, RunState.RUNNING)
                    for t in self.machine.tiles.values())
         busy = busy or self.machine.main_dma.busy_until > now
         busy = busy or any(c.dma.busy_until > now for c in self.machine.clusters)
@@ -762,13 +747,12 @@ class System:
                 self._check_progress(now)
                 self._post_tick(now + self.machine.config.sched_tick_cycles)
         elif event.kind is EventKind.DMA_DONE:
+            self.metrics.dma_bytes += event.nbytes
             tag = event.ctx[0]
             if tag == "thread_payload":
                 run: ThreadRun = event.ctx[1]
-                self.metrics.dma_bytes += event.nbytes
                 run.thread.advance(ThreadStatus.RUNNING)
                 sched = self.cluster_scheds[run.cluster_id]
-                self._attach_regions(run)
                 sched.admit_instance(run)
                 if run.instance.is_complete():  # degenerate zero-task dag
                     sched.finish_thread(run, now)
@@ -776,27 +760,22 @@ class System:
                     sched.scan(now)
             elif tag == "deploy":
                 task_run: TaskRun = event.ctx[1]
-                self.metrics.dma_bytes += event.nbytes
-                run_start = self.machine.finish_deploy(task_run.tile)
-                task_run.run_start = run_start
+                started = self.machine.finish_deploy(task_run.tile)
                 task_run.run.instance.set_state(task_run.task_id, TaskState.RUNNING)
                 self.machine.engine.post(Event(
-                    time=run_start + task_run.cycles, kind=EventKind.TILE_DONE,
+                    time=started + task_run.cycles, kind=EventKind.TILE_DONE,
                     cluster=task_run.run.cluster_id, tile=task_run.tile.tile_id,
                     thread=task_run.run.thread.tid, task=task_run.task_id,
                     ctx=("tile_done", task_run)))
             elif tag == "retrieval":
                 task_run = event.ctx[1]
-                self.metrics.dma_bytes += event.nbytes
                 self.cluster_scheds[task_run.run.cluster_id].complete_task(
                     task_run, now)
             else:
                 raise RuntimeError(f"unknown DMA context {tag!r}")
         elif event.kind is EventKind.TILE_DONE:
             task_run = event.ctx[1]
-            returns = sum(1 for t in task_run.result.edge_outputs if t is not None)
-            if task_run.result.thread_output is not None:
-                returns += 1
+            returns = len(task_run.result.returned_tokens())
             if task_run.result.scalar_return is not None:
                 returns += 1
             interrupt_time = self.machine.tile_finish(task_run.tile, returns)
@@ -812,13 +791,6 @@ class System:
         else:
             raise RuntimeError(f"unhandled event kind {event.kind}")
         self.machine.check_invariants()
-
-    def _attach_regions(self, run: ThreadRun) -> None:
-        """Tag the thread's input tokens with their reserved data regions."""
-        run.thread.inputs = [
-            dataclasses.replace(token, region=region)
-            for token, region in zip(run.thread.inputs, run.input_regions)
-        ]
 
     def on_thread_done(self, run: ThreadRun, now: int) -> None:
         self.main.on_thread_done(run, now)

@@ -324,6 +324,53 @@ def test_cmd_calibrate_prints_fit(capsys):
     assert "residual" in out
 
 
+# ---------------------------------------------------------------------------
+# bad outside input exits 2 with a config error, not a traceback
+
+
+def test_cmd_sweep_bad_grid_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", cfg, "--grid", "4y3"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: --grid point '4y3' is not CxT, e.g. 4x3\n"
+
+
+def test_cmd_sweep_bad_worker_count_is_config_error(tmp_path, monkeypatch,
+                                                    capsys):
+    cfg = write_config(tmp_path)
+    monkeypatch.setenv("WBPSIM_WORKERS", "x")
+    assert main(["sweep", cfg, "--grid", "1x2"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: WBPSIM_WORKERS must be an integer, got 'x'\n"
+
+
+def test_cmd_calibrate_malformed_anchor_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "anchors.txt"
+    path.write_text("fft,64,100,16\nfft,128,lots,16\n")
+    assert main(["calibrate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: anchor line 2: ")
+
+
+def test_cmd_calibrate_single_anchor_kernel_is_config_error(tmp_path, capsys):
+    # bp fits, fft has one anchor: nothing is printed before the error.
+    path = tmp_path / "anchors.txt"
+    path.write_text("bp,64,100,16\nbp,128,250,16\nfft,64,100,16\n")
+    assert main(["calibrate", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: {path}: fft: need at least two anchors to fit\n")
+
+
+def test_cmd_run_malformed_anchors_file_is_config_error(tmp_path, capsys):
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text("fft,64,100\n")
+    text = MINIMAL + f"[cost]\nanchors_file = {anchors}\n"
+    assert main(["run", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cost.anchors_file {anchors}: "
+        "anchor line 1: expected 4 fields, got 3\n")
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     cfg = write_config(tmp_path)
     result = subprocess.run(

@@ -1,5 +1,6 @@
 """Thread-level scheduling (residency, admission, LRU) and task-level scans."""
 
+import functools
 import gc
 import weakref
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import input_token, linear_dag, make_passthrough_body
 from wbpsim.costmodel import CostModel, CostParams
 from wbpsim.dag import Dag, TaskSpec, Token
-from wbpsim.machine import Machine, MachineConfig
+from wbpsim.machine import Machine, MachineConfig, SimulationStalled
 from wbpsim.scheduler import (DeploymentTable, System, TableEntry,
                               ThreadDescriptor, ThreadStatus, mem_pack,
                               mem_unpack)
@@ -79,8 +80,8 @@ def test_mem_pack_roundtrip_and_hand_summed_size():
 def test_deployment_table_holders_and_touch():
     table = DeploymentTable()
     assert table.holders("d1") == []
-    table.record(TableEntry("d1", 2, last_used=5, code_region=0, code_bytes=10))
-    table.record(TableEntry("d1", 0, last_used=9, code_region=1, code_bytes=10))
+    table.record(TableEntry("d1", 2, last_used=5, code_region=0))
+    table.record(TableEntry("d1", 0, last_used=9, code_region=1))
     holders = table.holders("d1")
     assert [e.cluster_id for e in holders] == [0, 2]
     table.touch("d1", 2, 42)
@@ -124,11 +125,9 @@ def test_get_cluster_lru_picks_oldest_with_tiebreak():
     pool0 = system.machine.clusters[0].sections["TASK_CODE_POOL"]
     pool1 = system.machine.clusters[1].sections["TASK_CODE_POOL"]
     system.main.table.record(TableEntry("dA", 1, last_used=9,
-                                        code_region=pool1.alloc(100),
-                                        code_bytes=100))
+                                        code_region=pool1.alloc(100)))
     system.main.table.record(TableEntry("dB", 0, last_used=5,
-                                        code_region=pool0.alloc(100),
-                                        code_bytes=100))
+                                        code_region=pool0.alloc(100)))
     probe = thread(9, one_task_dag())
     assert system.main.get_cluster_lru(probe) == 0
     system.main.table.lookup("dB", 0).last_used = 9  # now a tie at 9
@@ -151,8 +150,7 @@ def test_residency_hit_ships_data_only():
     pool2 = system.machine.clusters[2].sections["TASK_CODE_POOL"]
     payload = mem_pack([], dag)
     system.main.table.record(TableEntry(dag.dag_id, 2, last_used=0,
-                                        code_region=pool2.alloc(payload.dag_bytes),
-                                        code_bytes=payload.dag_bytes))
+                                        code_region=pool2.alloc(payload.dag_bytes)))
     t = thread(0, dag)
     system.submit(t)
     system.run()
@@ -287,6 +285,54 @@ def test_multithreading_bound_and_liveness():
     assert all(t.status is ThreadStatus.DONE for t in system.threads.values())
     assert system.metrics.data_transfers == 8
     assert system.metrics.backpressure_events > 0  # some threads had to wait
+
+
+def linear_threads_system(body, tiles, indication_bytes=2048, data_bytes=65536,
+                          n_threads=4):
+    """One cluster running ``n_threads`` threads of linear_dag(3), 64-byte
+    inputs."""
+    config = small_config(
+        clusters=1, tile_mix=tiles, max_threads=4,
+        section_bytes={"TASK_CODE_POOL": 65536, "FIFO_LISTS": 4096,
+                       "LOAD_INDICATION": indication_bytes,
+                       "COMPUTE_DATA": data_bytes})
+    system = System(Machine(config), FLAT_COST, body)
+    dag = linear_dag(3)
+    for tid in range(n_threads):
+        system.submit(thread(tid, dag))
+    return system
+
+
+def test_full_load_indication_backs_off_dispatch():
+    # A 16-byte LOAD_INDICATION section holds one in-flight task, so the
+    # second tile's dispatches back off until it frees; no placement waits.
+    counts = []
+    for indication_bytes in (16, 2048):
+        system = linear_threads_system(make_passthrough_body(), ("L", "L"),
+                                       indication_bytes=indication_bytes)
+        system.run()
+        assert all(t.status is ThreadStatus.DONE for t in system.threads.values())
+        assert all(len(run.instance.outputs["t2"]) == 1
+                   for run in system.finished_runs.values())
+        assert not any(d.action == "wait" for d in system.main.decisions)
+        counts.append(system.metrics.backpressure_events)
+    assert counts[0] > counts[1] == 0
+
+
+def test_retrieval_deadlock_is_reported_as_stall():
+    # Three queued 64-byte inputs hold 192 of 256 data bytes, so the tile's
+    # 128-byte output never fits and its retrieval stalls for good. The
+    # budget keeps a detector that misses this from running for minutes.
+    system = linear_threads_system(make_passthrough_body(token_bytes=128),
+                                   ("L",), data_bytes=256, n_threads=6)
+    engine = system.machine.engine
+    engine.run = functools.partial(engine.run, max_events=50_000)
+    with pytest.raises(SimulationStalled) as info:
+        system.run()
+    assert str(info.value) == ("scheduler made no progress for 10 ticks; "
+                               "stuck threads [0, 1, 2, 3, 4, 5]")
+    assert engine.now == 12000
+    assert system.metrics.retrieval_stalls > 0
 
 
 # ---------------------------------------------------------------------------
