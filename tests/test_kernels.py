@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wbpsim import kernels as K
 
@@ -207,6 +208,103 @@ def test_bp_decode_ber_non_increasing_with_snr(rng):
     for lo, hi in zip(bers[1:], bers[:-1]):
         assert lo <= hi, f"BER curve not monotone: {bers}"
     assert bers[0] > bers[-1]
+
+
+def test_bp_decode_many_matches_single_frame_decodes(rng):
+    # 300 rows cross the 256-row chunk boundary of the batched path.
+    code = K.PolarCode.design(512, 256)
+    _, llr = _qpsk_awgn_llrs(code, 300, 2.0, rng, rate=0.5)
+    single = np.stack([K.bp_decode(row, code) for row in llr])
+    np.testing.assert_array_equal(K.bp_decode_many(llr, code), single)
+
+
+# ---------------------------------------------------------------------------
+# BP decoder against the natural-layout reference loop
+
+
+def _minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+
+
+def _butterfly(arr: np.ndarray, step: int) -> np.ndarray:
+    """View of (batch, N) grouped as (batch, blocks, {lo, hi}, step)."""
+    batch, size = arr.shape
+    return arr.reshape(batch, size // (2 * step), 2, step)
+
+
+def _reference_bp_decode_soft(llr: np.ndarray, code: K.PolarCode, max_iters: int = 30,
+                              early_exit: bool = False) -> np.ndarray:
+    """Min-sum BP with messages in natural index order: the same schedule and
+    per-element arithmetic as the kernel, one stage at a time through 4-D
+    butterfly views."""
+    llr = np.atleast_2d(K.as_llr(llr))
+    batch, size = llr.shape
+    stages = code.n
+
+    left = np.zeros((stages + 1, batch, size))
+    right = np.zeros((stages + 1, batch, size))
+    left[stages] = llr
+    right[0][:, code.frozen_mask == 1] = K.FROZEN_LLR
+
+    for _ in range(max_iters):
+        for s in range(stages):
+            r_in = _butterfly(right[s], 1 << s)
+            l_in = _butterfly(left[s + 1], 1 << s)
+            r_out = _butterfly(right[s + 1], 1 << s)
+            a, b = r_in[:, :, 0], r_in[:, :, 1]
+            l_lo, l_hi = l_in[:, :, 0], l_in[:, :, 1]
+            r_out[:, :, 0] = _minsum(a, l_hi + b)
+            r_out[:, :, 1] = _minsum(a, l_lo) + b
+        for s in range(stages - 1, -1, -1):
+            r_in = _butterfly(right[s], 1 << s)
+            l_in = _butterfly(left[s + 1], 1 << s)
+            l_out = _butterfly(left[s], 1 << s)
+            a, b = r_in[:, :, 0], r_in[:, :, 1]
+            l_lo, l_hi = l_in[:, :, 0], l_in[:, :, 1]
+            l_out[:, :, 0] = _minsum(l_lo, l_hi + b)
+            l_out[:, :, 1] = _minsum(a, l_lo) + l_hi
+        if early_exit:
+            u_hat = (left[0] + right[0] < 0).astype(np.int8)
+            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)
+            if np.array_equal(K._polar_transform(u_hat), x_hat):
+                break
+    return left[0] + right[0]
+
+
+def _assert_matches_reference(llr, code, max_iters, early_exit):
+    got = K.bp_decode_soft(llr, code, max_iters, early_exit)
+    want = _reference_bp_decode_soft(llr, code, max_iters, early_exit)
+    # array_equal treats -0.0 == 0.0: min-sum may differ in the sign of a zero.
+    assert np.array_equal(got, want)
+    np.testing.assert_array_equal(got < 0, want < 0)
+
+
+_LLR_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.0, -2.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 9), st.integers(1, 3), st.integers(1, 6),
+       st.booleans())
+def test_bp_decode_soft_matches_reference(data, n, batch, max_iters, early_exit):
+    size = 1 << n
+    mask = data.draw(hnp.arrays(np.int8, size, elements=st.integers(0, 1)),
+                     label="frozen_mask")
+    code = K.PolarCode(n=n, K=size - int(mask.sum()), frozen_mask=mask)
+    llr = data.draw(hnp.arrays(np.float64, (batch, size), elements=_LLR_VALUES),
+                    label="llr")
+    _assert_matches_reference(llr, code, max_iters, early_exit)
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_bp_decode_soft_matches_reference_on_workload_frames(rng, early_exit):
+    code = K.PolarCode.design(512, 256)
+    info = rng.integers(0, 2, (3, code.K), dtype=np.int8)
+    _assert_matches_reference(2.0 * (1.0 - 2.0 * K.polar_encode(info, code)),
+                              code, 30, early_exit)
+    _, noisy = _qpsk_awgn_llrs(code, 4, 1.0, rng, rate=0.5)
+    _assert_matches_reference(noisy, code, 30, early_exit)
 
 
 # ---------------------------------------------------------------------------
