@@ -10,6 +10,16 @@ The host only has to compute the right values: what a kernel costs on a
 tile comes from the cost model, not from how it is written here. So the
 transforms use numpy's FFT, and the polar encoder and the decoder's
 early-exit check share one in-place butterfly transform.
+
+Host speed still matters where a kernel dominates the simulator's own run
+time, and polar BP decoding does: one frame costs about 5k numpy calls on
+arrays of N/2 elements, so per-call overhead, not arithmetic, sets its
+speed. ``bp_decode_soft`` therefore keeps its messages in a
+constant-geometry layout (see its docstring), in which every stage reads
+contiguous halves and stride-2 views of arrays allocated once per call, and
+writes every result in place. The layout moves values, not arithmetic: the
+soft outputs equal those of the natural-order loop that the tests keep as
+the reference, bit for bit.
 """
 
 from __future__ import annotations
@@ -167,14 +177,25 @@ def polar_encode(info, code: PolarCode) -> np.ndarray:
     return _polar_transform(u)
 
 
-def _minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+@functools.lru_cache(maxsize=32)
+def _bit_reversal(n: int) -> np.ndarray:
+    """Read-only permutation of 0..2^n-1 reversing n index bits; an involution."""
+    perm = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        perm = np.concatenate([2 * perm, 2 * perm + 1])
+    perm.setflags(write=False)
+    return perm
 
 
-def _butterfly(arr: np.ndarray, step: int) -> np.ndarray:
-    """View of (batch, N) grouped as (batch, blocks, {lo, hi}, step)."""
-    batch, size = arr.shape
-    return arr.reshape(batch, size // (2 * step), 2, step)
+def _minsum_into(x: np.ndarray, y: np.ndarray, out: np.ndarray,
+                 mn: np.ndarray, mx: np.ndarray) -> None:
+    """out = sign(x) sign(y) min(|x|, |y|) up to the sign of a zero, computed
+    as max(min(x, y), -max(x, y)): exact, with no product. ``mn`` and ``mx``
+    are scratch of the operands' shape."""
+    np.minimum(x, y, out=mn)
+    np.maximum(x, y, out=mx)
+    np.negative(mx, out=mx)
+    np.maximum(mn, mx, out=out)
 
 
 def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
@@ -184,9 +205,26 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     ``llr`` has shape (batch, N); returns post-decoding LLRs of the input
     (u-domain) positions with the same shape. Messages flow left (toward u)
     and right (toward the channel) through the n butterfly stages; frozen
-    positions carry a +FROZEN_LLR prior. With ``early_exit`` the iteration
+    positions carry a +FROZEN_LLR prior. Each iteration is a right sweep over
+    stages 0..n-1, then a left sweep back. With ``early_exit`` the iteration
     stops once every row's hard decisions re-encode to the channel-side hard
     decisions; otherwise exactly ``max_iters`` iterations run.
+
+    Layout (constant geometry, after Pease 1968): message level s stores
+    natural position i at the position whose bits, from the most significant
+    down, are i[s], i[s+1], ..., i[n-1], i[0], ..., i[s-1]. Stage s pairs the
+    positions that differ in bit s only. That bit is the top bit of level s
+    and the bottom bit of level s+1, and the other bits keep one order in
+    both, so stage s reads level s as two contiguous halves ([:, :N/2],
+    [:, N/2:]) and level s+1 as its even and odd elements ([:, 0::2],
+    [:, 1::2]). In natural order each stage needs a differently shaped 4-D
+    view, and a ufunc call on such a view costs two to four times one on
+    contiguous halves. Levels 0 and n come out bit-reversed, so the channel
+    LLRs and the frozen prior enter through the bit reversal, and the result
+    and the early-exit decisions leave through it (it is its own inverse);
+    the early-exit check therefore re-encodes in natural order. The message
+    arrays, three half-size scratch arrays and the per-stage views are built
+    once per call, and every update is written in place.
     """
     llr = np.atleast_2d(as_llr(llr))
     batch, size = llr.shape
@@ -195,35 +233,37 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     stages = code.n
+    half = size // 2
+    perm = _bit_reversal(stages)
 
     left = np.zeros((stages + 1, batch, size))
     right = np.zeros((stages + 1, batch, size))
-    left[stages] = llr
-    right[0][:, code.frozen_mask == 1] = FROZEN_LLR
+    left[stages] = llr[:, perm]
+    right[0][:, code.frozen_mask[perm] == 1] = FROZEN_LLR
+    t, mn, mx = np.empty((3, batch, half))
+    views = [(right[s][:, :half], right[s][:, half:],
+              left[s][:, :half], left[s][:, half:],
+              right[s + 1][:, 0::2], right[s + 1][:, 1::2],
+              left[s + 1][:, 0::2], left[s + 1][:, 1::2])
+             for s in range(stages)]
 
     for _ in range(max_iters):
-        for s in range(stages):
-            r_in = _butterfly(right[s], 1 << s)
-            l_in = _butterfly(left[s + 1], 1 << s)
-            r_out = _butterfly(right[s + 1], 1 << s)
-            a, b = r_in[:, :, 0], r_in[:, :, 1]
-            l_lo, l_hi = l_in[:, :, 0], l_in[:, :, 1]
-            r_out[:, :, 0] = _minsum(a, l_hi + b)
-            r_out[:, :, 1] = _minsum(a, l_lo) + b
-        for s in range(stages - 1, -1, -1):
-            r_in = _butterfly(right[s], 1 << s)
-            l_in = _butterfly(left[s + 1], 1 << s)
-            l_out = _butterfly(left[s], 1 << s)
-            a, b = r_in[:, :, 0], r_in[:, :, 1]
-            l_lo, l_hi = l_in[:, :, 0], l_in[:, :, 1]
-            l_out[:, :, 0] = _minsum(l_lo, l_hi + b)
-            l_out[:, :, 1] = _minsum(a, l_lo) + l_hi
+        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in views:
+            np.add(l_hi, b, out=t)
+            _minsum_into(a, t, r_lo, mn, mx)
+            _minsum_into(a, l_lo, t, mn, mx)
+            np.add(t, b, out=r_hi)
+        for a, b, l_out_lo, l_out_hi, _, _, l_lo, l_hi in reversed(views):
+            np.add(l_hi, b, out=t)
+            _minsum_into(l_lo, t, l_out_lo, mn, mx)
+            _minsum_into(a, l_lo, t, mn, mx)
+            np.add(t, l_hi, out=l_out_hi)
         if early_exit:
-            u_hat = (left[0] + right[0] < 0).astype(np.int8)
-            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)
+            u_hat = (left[0] + right[0] < 0).astype(np.int8)[:, perm]
+            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)[:, perm]
             if np.array_equal(_polar_transform(u_hat), x_hat):
                 break
-    return left[0] + right[0]
+    return (left[0] + right[0])[:, perm]
 
 
 def bp_decode(llr, code: PolarCode, max_iters: int = 30,

@@ -263,109 +263,123 @@ def make_link_body(link: LinkConfig):
     n_sub = link.ofdm.n_subcarriers
     pilot_freq = pilot_symbol_freq(link)
 
+    def tx_encode(spec, payloads):
+        coded = kernels.polar_encode(payloads[0], link.polar)
+        return BodyResult([make_token(coded)], [("polar_encode", link.polar.N, 1)])
+
+    def tx_rate_match(spec, payloads):
+        out = kernels.rate_match_rv0(payloads[0], link.rate_match_e)
+        return BodyResult([make_token(out)], [("rate_match", link.rate_match_e, 1)])
+
+    def tx_scramble(spec, payloads):
+        out = kernels.scramble(payloads[0], user_c_init(link, spec.params["user"]))
+        return BodyResult([make_token(out)], [("scramble", link.rate_match_e, 1)])
+
+    def tx_qpsk(spec, payloads):
+        out = kernels.qpsk_mod(payloads[0])
+        return BodyResult([make_token(out)], [("qpsk_mod", link.rate_match_e, 1)])
+
+    def tx_ofdm(spec, payloads):
+        syms = payloads[0].reshape(link.data_symbols_per_user, n_sub)
+        parts = [kernels.ofdm_modulate(pilot_freq, link.ofdm)]
+        parts.extend(kernels.ofdm_modulate(block, link.ofdm) for block in syms)
+        out = np.concatenate(parts)
+        return BodyResult([make_token(out)], [("fft", n_sub, link.symbols_per_user)])
+
+    def tx_assemble(spec, payloads):
+        slot = np.concatenate(payloads) if payloads else \
+            np.zeros(0, dtype=np.complex128)
+        return BodyResult([], [("assemble", max(1, slot.size), 1)],
+                          thread_output=make_token(slot))
+
+    def rx_ofdm(spec, payloads):
+        bundle: RxBundle = payloads[0]
+        per_user = tuple(
+            tuple(kernels.ofdm_demodulate(sym, link.ofdm) for sym in syms)
+            for syms in bundle.per_user)
+        count = sum(len(s) for s in bundle.per_user)
+        return BodyResult(
+            [make_token(dataclasses.replace(bundle, per_user=per_user))],
+            [("fft", n_sub, count)])
+
+    def rx_ls(spec, payloads):
+        bundle = payloads[0]
+        per_user = tuple(
+            (kernels.ls_estimate(freqs[0], pilot_freq), tuple(freqs[1:]))
+            for freqs in bundle.per_user)
+        return BodyResult(
+            [make_token(dataclasses.replace(bundle, per_user=per_user))],
+            [("ls_estimate", n_sub, bundle.user_count)])
+
+    def rx_zf(spec, payloads):
+        bundle = payloads[0]
+        per_user = tuple(
+            tuple(kernels.zf_equalize(sym, channel)[0] for sym in data)
+            for channel, data in bundle.per_user)
+        return BodyResult(
+            [make_token(dataclasses.replace(bundle, per_user=per_user))],
+            [("zf_equalize", n_sub, bundle.user_count * link.data_symbols_per_user)])
+
+    def rx_demod(spec, payloads):
+        bundle = payloads[0]
+        per_user = tuple(
+            kernels.qpsk_soft_demod(np.concatenate(syms), bundle.noise_var)
+            for syms in bundle.per_user)
+        return BodyResult(
+            [make_token(dataclasses.replace(bundle, per_user=per_user))],
+            [("qpsk_demod", link.rate_match_e, bundle.user_count)])
+
+    def rx_descramble(spec, payloads):
+        bundle = payloads[0]
+        per_user = tuple(
+            kernels.descramble_llr(llr, user_c_init(link, user))
+            for user, llr in enumerate(bundle.per_user))
+        return BodyResult(
+            [make_token(dataclasses.replace(bundle, per_user=per_user))],
+            [("descramble", link.rate_match_e, bundle.user_count)])
+
+    def rx_rate_recover(spec, payloads):
+        bundle = payloads[0]
+        per_user = tuple(kernels.rate_recover_rv0(llr, link.polar.N)
+                         for llr in bundle.per_user)
+        return BodyResult(
+            [make_token(dataclasses.replace(bundle, per_user=per_user))],
+            [("rate_recover", link.rate_match_e, bundle.user_count)])
+
+    def rx_blind(spec, payloads):
+        bundle = payloads[0]
+        detected = kernels.blind_detect(bundle.user_count)
+        outputs: list[Token | None] = [
+            make_token(bundle.per_user[user]) if user < detected else None
+            for user in range(MAX_USERS)]
+        return BodyResult(outputs, [("blind_detect", MAX_USERS, 1)],
+                          scalar_return=detected)
+
+    def rx_decode(spec, payloads):
+        bits = kernels.bp_decode(payloads[0], link.polar, link.bp_iters)
+        return BodyResult([make_token(bits)], [("bp", link.polar.N, 1)])
+
+    def rx_assemble(spec, payloads):
+        decoded = tuple(payloads)
+        size = max(1, sum(p.size for p in decoded))
+        return BodyResult([], [("assemble", size, 1)],
+                          thread_output=make_token(decoded))
+
+    roles = {
+        "tx_encode": tx_encode, "tx_rate_match": tx_rate_match,
+        "tx_scramble": tx_scramble, "tx_qpsk": tx_qpsk, "tx_ofdm": tx_ofdm,
+        "tx_assemble": tx_assemble, "rx_ofdm": rx_ofdm, "rx_ls": rx_ls,
+        "rx_zf": rx_zf, "rx_demod": rx_demod, "rx_descramble": rx_descramble,
+        "rx_rate_recover": rx_rate_recover, "rx_blind": rx_blind,
+        "rx_decode": rx_decode, "rx_assemble": rx_assemble,
+    }
+
     def body(spec: TaskSpec, payloads: list, thread: ThreadDescriptor) -> BodyResult:
         role = spec.params["role"]
-        if role == "tx_encode":
-            coded = kernels.polar_encode(payloads[0], link.polar)
-            return BodyResult([make_token(coded)],
-                              [("polar_encode", link.polar.N, 1)])
-        if role == "tx_rate_match":
-            out = kernels.rate_match_rv0(payloads[0], link.rate_match_e)
-            return BodyResult([make_token(out)],
-                              [("rate_match", link.rate_match_e, 1)])
-        if role == "tx_scramble":
-            out = kernels.scramble(payloads[0],
-                                   user_c_init(link, spec.params["user"]))
-            return BodyResult([make_token(out)],
-                              [("scramble", link.rate_match_e, 1)])
-        if role == "tx_qpsk":
-            out = kernels.qpsk_mod(payloads[0])
-            return BodyResult([make_token(out)],
-                              [("qpsk_mod", link.rate_match_e, 1)])
-        if role == "tx_ofdm":
-            syms = payloads[0].reshape(link.data_symbols_per_user, n_sub)
-            parts = [kernels.ofdm_modulate(pilot_freq, link.ofdm)]
-            parts.extend(kernels.ofdm_modulate(block, link.ofdm)
-                         for block in syms)
-            out = np.concatenate(parts)
-            return BodyResult([make_token(out)],
-                              [("fft", n_sub, link.symbols_per_user)])
-        if role == "tx_assemble":
-            slot = np.concatenate(payloads) if payloads else \
-                np.zeros(0, dtype=np.complex128)
-            return BodyResult([], [("assemble", max(1, slot.size), 1)],
-                              thread_output=make_token(slot))
-        if role == "rx_ofdm":
-            bundle: RxBundle = payloads[0]
-            per_user = tuple(
-                tuple(kernels.ofdm_demodulate(sym, link.ofdm) for sym in syms)
-                for syms in bundle.per_user)
-            count = sum(len(s) for s in bundle.per_user)
-            return BodyResult(
-                [make_token(dataclasses.replace(bundle, per_user=per_user))],
-                [("fft", n_sub, count)])
-        if role == "rx_ls":
-            bundle = payloads[0]
-            per_user = tuple(
-                (kernels.ls_estimate(freqs[0], pilot_freq), tuple(freqs[1:]))
-                for freqs in bundle.per_user)
-            return BodyResult(
-                [make_token(dataclasses.replace(bundle, per_user=per_user))],
-                [("ls_estimate", n_sub, bundle.user_count)])
-        if role == "rx_zf":
-            bundle = payloads[0]
-            per_user = []
-            for channel, data in bundle.per_user:
-                per_user.append(tuple(kernels.zf_equalize(sym, channel)[0]
-                                      for sym in data))
-            return BodyResult(
-                [make_token(dataclasses.replace(bundle,
-                                                per_user=tuple(per_user)))],
-                [("zf_equalize", n_sub,
-                  bundle.user_count * link.data_symbols_per_user)])
-        if role == "rx_demod":
-            bundle = payloads[0]
-            per_user = tuple(
-                kernels.qpsk_soft_demod(np.concatenate(syms), bundle.noise_var)
-                for syms in bundle.per_user)
-            return BodyResult(
-                [make_token(dataclasses.replace(bundle, per_user=per_user))],
-                [("qpsk_demod", link.rate_match_e, bundle.user_count)])
-        if role == "rx_descramble":
-            bundle = payloads[0]
-            per_user = tuple(
-                kernels.descramble_llr(llr, user_c_init(link, user))
-                for user, llr in enumerate(bundle.per_user))
-            return BodyResult(
-                [make_token(dataclasses.replace(bundle, per_user=per_user))],
-                [("descramble", link.rate_match_e, bundle.user_count)])
-        if role == "rx_rate_recover":
-            bundle = payloads[0]
-            per_user = tuple(kernels.rate_recover_rv0(llr, link.polar.N)
-                             for llr in bundle.per_user)
-            return BodyResult(
-                [make_token(dataclasses.replace(bundle, per_user=per_user))],
-                [("rate_recover", link.rate_match_e, bundle.user_count)])
-        if role == "rx_blind":
-            bundle = payloads[0]
-            detected = kernels.blind_detect(bundle.user_count)
-            outputs: list[Token | None] = []
-            for user in range(MAX_USERS):
-                if user < detected:
-                    outputs.append(make_token(bundle.per_user[user]))
-                else:
-                    outputs.append(None)
-            return BodyResult(outputs, [("blind_detect", MAX_USERS, 1)],
-                              scalar_return=detected)
-        if role == "rx_decode":
-            bits = kernels.bp_decode(payloads[0], link.polar, link.bp_iters)
-            return BodyResult([make_token(bits)], [("bp", link.polar.N, 1)])
-        if role == "rx_assemble":
-            decoded = tuple(payloads)
-            size = max(1, sum(p.size for p in decoded))
-            return BodyResult([], [("assemble", size, 1)],
-                              thread_output=make_token(decoded))
-        raise ValueError(f"unknown task role {role!r}")
+        run = roles.get(role)
+        if run is None:
+            raise ValueError(f"unknown task role {role!r}")
+        return run(spec, payloads)
 
     return body
 

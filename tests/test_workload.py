@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wbpsim.config import parse_config
-from wbpsim.dag import TaskState
+from wbpsim.dag import TaskSpec, TaskState
 from wbpsim.kernels import OfdmConfig, PolarCode
 from wbpsim.machine import MachineConfig
 from wbpsim.workload import (LinkConfig, TddPattern, build_rx_dag, build_tx_dag,
@@ -90,6 +90,13 @@ def test_attribute_assignment():
     assert rx.tasks["rx_ls"].attribute == "ANY"
     assert rx.tasks["rx_zf"].attribute == "ANY"
     assert rx.tasks["rx_demod"].attribute == "SMALL"
+
+
+def test_link_body_rejects_unknown_role():
+    body = make_link_body(small_link())
+    spec = TaskSpec(task_id="t", kernel="assemble", params={"role": "rx_bogus"})
+    with pytest.raises(ValueError, match="unknown task role 'rx_bogus'"):
+        body(spec, [], None)
 
 
 def test_link_config_validation():
