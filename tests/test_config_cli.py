@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import wbpsim
 from wbpsim.cli import (ABLATION_CSV_HEADER, RUN_CSV_HEADER, emit_csv, main,
                         sweep_mix)
 from wbpsim.config import (ConfigError, apply_overrides, parse_config,
@@ -303,6 +304,20 @@ def test_cmd_sweep_grid_row_count(tmp_path):
         assert len(list(csv.reader(fh))) == 4
 
 
+def test_cmd_sweep_workers_write_the_serial_csv(tmp_path, monkeypatch):
+    # Each point is a function of (config, seed) alone, so a sweep spread
+    # over two worker processes writes the same bytes as a serial one.
+    cfg = write_config(tmp_path)
+    written = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("WBPSIM_WORKERS", workers)
+        out = tmp_path / f"sweep-{workers}.csv"
+        assert main(["sweep", cfg, "--grid", "1x2,1x3", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert len(written[0].splitlines()) == 3  # header + two points
+
+
 def test_cmd_ablation_table_shape(tmp_path):
     cfg = write_config(tmp_path, small_config_text())
     out = tmp_path / "ablation.csv"
@@ -316,7 +331,6 @@ def test_cmd_ablation_table_shape(tmp_path):
 
 
 def test_cmd_calibrate_prints_fit(capsys):
-    import wbpsim
     anchors = os.path.join(os.path.dirname(wbpsim.__file__), "data", "anchors.txt")
     assert main(["calibrate", anchors]) == 0
     out = capsys.readouterr().out
@@ -373,8 +387,13 @@ def test_cmd_run_malformed_anchors_file_is_config_error(tmp_path, capsys):
 
 def test_cli_entrypoint_subprocess(tmp_path):
     cfg = write_config(tmp_path)
+    # pytest's pythonpath setting reaches only this process; hand the child
+    # the directory this process imports wbpsim from.
+    src = os.path.dirname(os.path.dirname(wbpsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "wbpsim.cli", "run", cfg],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert "config_id" in result.stdout

@@ -1,8 +1,11 @@
 """Link dags, thread spawning, and end-to-end simulated experiments."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from wbpsim import kernels
 from wbpsim.config import parse_config
 from wbpsim.dag import TaskSpec, TaskState
 from wbpsim.kernels import OfdmConfig, PolarCode
@@ -97,6 +100,76 @@ def test_link_body_rejects_unknown_role():
     spec = TaskSpec(task_id="t", kernel="assemble", params={"role": "rx_bogus"})
     with pytest.raises(ValueError, match="unknown task role 'rx_bogus'"):
         body(spec, [], None)
+
+
+RX_CHAIN = ("rx_ofdm", "rx_ls", "rx_zf", "rx_demod", "rx_descr", "rx_recover")
+
+
+def _blind_outputs(body, dag, thread):
+    """Run a receive thread's chain through rx_blind; return its result."""
+    payload = thread.inputs[0].payload
+    for task in RX_CHAIN:
+        payload = body(dag.tasks[task], [payload], thread).edge_outputs[0].payload
+    return body(dag.tasks["rx_blind"], [payload], thread)
+
+
+@pytest.mark.parametrize("users", [0, 1, 10, 20])
+def test_link_body_decoders_match_single_frame_decodes(users, monkeypatch):
+    # Two receive threads' decoders run interleaved in a mixed order. Each
+    # must return the single-frame decode of its own row, and once a
+    # thread's last decoder has run nothing the decoders kept of that
+    # thread may stay reachable: neither its LLR rows nor any array handed
+    # to a kernel decoder.
+    link = small_link(users=users, snr=1.0)
+    dag = build_rx_dag(link)
+    body = make_link_body(link)
+    threads = spawn_threads(TddPattern(("U",), 8000), 2, link, 11, None, dag)
+    seen = {thread.tid: [] for thread in threads}
+    current = []
+
+    def recording(decode):
+        def wrapper(llr, *args, **kwargs):
+            seen[current[0]].append(weakref.ref(llr))
+            return decode(llr, *args, **kwargs)
+        return wrapper
+
+    rows, expected = {}, {}
+    for thread in threads:
+        blind = _blind_outputs(body, dag, thread)
+        assert blind.scalar_return == users
+        assert blind.cost_items == [("blind_detect", 20, 1)]
+        outputs = blind.edge_outputs
+        assert len(outputs) == 20
+        assert all(token is None for token in outputs[users:])  # dismissed
+        for user in range(users):
+            key = thread.tid, user
+            assert outputs[user].byte_size == 4 * link.polar.N
+            rows[key] = outputs[user].payload
+            expected[key] = kernels.bp_decode(rows[key], link.polar, link.bp_iters)
+            seen[thread.tid].append(weakref.ref(rows[key]))
+        del blind, outputs
+    monkeypatch.setattr(kernels, "bp_decode", recording(kernels.bp_decode))
+    monkeypatch.setattr(kernels, "bp_decode_many",
+                        recording(kernels.bp_decode_many))
+
+    keys = list(rows)
+    order = [keys[i] for i in np.random.default_rng(users).permutation(len(keys))]
+    assert users < 2 or sum(a[0] != b[0] for a, b in zip(order, order[1:])) >= 2
+    by_tid = {thread.tid: thread for thread in threads}
+    for tid, user in order:
+        current[:] = [tid]
+        result = body(dag.tasks[f"dec_u{user:02d}"], [rows.pop((tid, user))],
+                      by_tid[tid])
+        assert result.cost_items == [("bp", link.polar.N, 1)]
+        assert result.thread_output is None and len(result.edge_outputs) == 1
+        bits = result.edge_outputs[0].payload
+        assert bits.dtype == np.int8 and bits.flags.owndata
+        assert result.edge_outputs[0].byte_size == link.polar.K
+        np.testing.assert_array_equal(bits, expected[tid, user])
+        del result, bits
+        if not any(key[0] == tid for key in rows):
+            assert all(ref() is None for ref in seen[tid]), \
+                f"thread {tid}: decode batch still reachable after its last decoder"
 
 
 def test_link_config_validation():
