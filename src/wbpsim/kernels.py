@@ -208,7 +208,8 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     positions carry a +FROZEN_LLR prior. Each iteration is a right sweep over
     stages 0..n-1, then a left sweep back. With ``early_exit`` the iteration
     stops once every row's hard decisions re-encode to the channel-side hard
-    decisions; otherwise exactly ``max_iters`` iterations run.
+    decisions; otherwise exactly ``max_iters`` iterations run and the right
+    sweep skips stage n-1, whose output only that check reads.
 
     Layout (constant geometry, after Pease 1968): message level s stores
     natural position i at the position whose bits, from the most significant
@@ -246,9 +247,11 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
               right[s + 1][:, 0::2], right[s + 1][:, 1::2],
               left[s + 1][:, 0::2], left[s + 1][:, 1::2])
              for s in range(stages)]
+    # Level n of the right messages feeds no stage, only the early-exit check.
+    right_views = views if early_exit else views[:-1]
 
     for _ in range(max_iters):
-        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in views:
+        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in right_views:
             np.add(l_hi, b, out=t)
             _minsum_into(a, t, r_lo, mn, mx)
             _minsum_into(a, l_lo, t, mn, mx)

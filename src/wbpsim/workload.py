@@ -10,6 +10,15 @@ once the detected user count is known.
 Thread payloads are synthesized up front from a seeded generator (uplink
 slots reuse the preceding downlink slot's info bits, passed through the
 modeled channel), so simulation order cannot perturb the data.
+
+A receive thread's decoders share one batched decode on the host, as a
+software polar decoder amortises its per-call overhead over sibling frames.
+``rx_blind`` registers the detected users' LLR rows, the very payloads it
+hands the decoders, under the thread's id in a table that belongs to one
+``make_link_body`` call, so to one run and one process. The first decoder
+to run decodes all rows with ``bp_decode_many``, each decoder returns its
+own user's bits, and the last one removes the entry. The model is unchanged:
+each decoder is still a task that is charged one frame.
 """
 
 from __future__ import annotations
@@ -258,41 +267,53 @@ def build_rx_dag(link: LinkConfig) -> Dag:
 # task bodies
 
 
+class _DecodeBatch:
+    """One receive thread's detected users' LLR rows, decoded in one call."""
+
+    __slots__ = ("rows", "bits", "left")
+
+    def __init__(self, rows: tuple):
+        self.rows = rows  # the payloads rx_blind hands the decoders, by user
+        self.bits: np.ndarray | None = None  # (users, K), set by the first decoder
+        self.left = len(rows)  # decoders still to run
+
+
 def make_link_body(link: LinkConfig):
     """Returns the body function executing one task's kernel work."""
     n_sub = link.ofdm.n_subcarriers
     pilot_freq = pilot_symbol_freq(link)
+    batches: dict[int, _DecodeBatch] = {}  # by thread id, while decoders remain
 
-    def tx_encode(spec, payloads):
+    def tx_encode(spec, payloads, thread):
         coded = kernels.polar_encode(payloads[0], link.polar)
         return BodyResult([make_token(coded)], [("polar_encode", link.polar.N, 1)])
 
-    def tx_rate_match(spec, payloads):
+    def tx_rate_match(spec, payloads, thread):
         out = kernels.rate_match_rv0(payloads[0], link.rate_match_e)
         return BodyResult([make_token(out)], [("rate_match", link.rate_match_e, 1)])
 
-    def tx_scramble(spec, payloads):
+    def tx_scramble(spec, payloads, thread):
         out = kernels.scramble(payloads[0], user_c_init(link, spec.params["user"]))
         return BodyResult([make_token(out)], [("scramble", link.rate_match_e, 1)])
 
-    def tx_qpsk(spec, payloads):
+    def tx_qpsk(spec, payloads, thread):
         out = kernels.qpsk_mod(payloads[0])
         return BodyResult([make_token(out)], [("qpsk_mod", link.rate_match_e, 1)])
 
-    def tx_ofdm(spec, payloads):
+    def tx_ofdm(spec, payloads, thread):
         syms = payloads[0].reshape(link.data_symbols_per_user, n_sub)
         parts = [kernels.ofdm_modulate(pilot_freq, link.ofdm)]
         parts.extend(kernels.ofdm_modulate(block, link.ofdm) for block in syms)
         out = np.concatenate(parts)
         return BodyResult([make_token(out)], [("fft", n_sub, link.symbols_per_user)])
 
-    def tx_assemble(spec, payloads):
+    def tx_assemble(spec, payloads, thread):
         slot = np.concatenate(payloads) if payloads else \
             np.zeros(0, dtype=np.complex128)
         return BodyResult([], [("assemble", max(1, slot.size), 1)],
                           thread_output=make_token(slot))
 
-    def rx_ofdm(spec, payloads):
+    def rx_ofdm(spec, payloads, thread):
         bundle: RxBundle = payloads[0]
         per_user = tuple(
             tuple(kernels.ofdm_demodulate(sym, link.ofdm) for sym in syms)
@@ -302,7 +323,7 @@ def make_link_body(link: LinkConfig):
             [make_token(dataclasses.replace(bundle, per_user=per_user))],
             [("fft", n_sub, count)])
 
-    def rx_ls(spec, payloads):
+    def rx_ls(spec, payloads, thread):
         bundle = payloads[0]
         per_user = tuple(
             (kernels.ls_estimate(freqs[0], pilot_freq), tuple(freqs[1:]))
@@ -311,7 +332,7 @@ def make_link_body(link: LinkConfig):
             [make_token(dataclasses.replace(bundle, per_user=per_user))],
             [("ls_estimate", n_sub, bundle.user_count)])
 
-    def rx_zf(spec, payloads):
+    def rx_zf(spec, payloads, thread):
         bundle = payloads[0]
         per_user = tuple(
             tuple(kernels.zf_equalize(sym, channel)[0] for sym in data)
@@ -320,7 +341,7 @@ def make_link_body(link: LinkConfig):
             [make_token(dataclasses.replace(bundle, per_user=per_user))],
             [("zf_equalize", n_sub, bundle.user_count * link.data_symbols_per_user)])
 
-    def rx_demod(spec, payloads):
+    def rx_demod(spec, payloads, thread):
         bundle = payloads[0]
         per_user = tuple(
             kernels.qpsk_soft_demod(np.concatenate(syms), bundle.noise_var)
@@ -329,7 +350,7 @@ def make_link_body(link: LinkConfig):
             [make_token(dataclasses.replace(bundle, per_user=per_user))],
             [("qpsk_demod", link.rate_match_e, bundle.user_count)])
 
-    def rx_descramble(spec, payloads):
+    def rx_descramble(spec, payloads, thread):
         bundle = payloads[0]
         per_user = tuple(
             kernels.descramble_llr(llr, user_c_init(link, user))
@@ -338,7 +359,7 @@ def make_link_body(link: LinkConfig):
             [make_token(dataclasses.replace(bundle, per_user=per_user))],
             [("descramble", link.rate_match_e, bundle.user_count)])
 
-    def rx_rate_recover(spec, payloads):
+    def rx_rate_recover(spec, payloads, thread):
         bundle = payloads[0]
         per_user = tuple(kernels.rate_recover_rv0(llr, link.polar.N)
                          for llr in bundle.per_user)
@@ -346,20 +367,37 @@ def make_link_body(link: LinkConfig):
             [make_token(dataclasses.replace(bundle, per_user=per_user))],
             [("rate_recover", link.rate_match_e, bundle.user_count)])
 
-    def rx_blind(spec, payloads):
+    def rx_blind(spec, payloads, thread):
         bundle = payloads[0]
         detected = kernels.blind_detect(bundle.user_count)
-        outputs: list[Token | None] = [
-            make_token(bundle.per_user[user]) if user < detected else None
-            for user in range(MAX_USERS)]
+        rows = bundle.per_user[:detected]
+        if rows:
+            batches[thread.tid] = _DecodeBatch(rows)
+        outputs: list[Token | None] = [make_token(row) for row in rows]
+        outputs.extend([None] * (MAX_USERS - detected))
         return BodyResult(outputs, [("blind_detect", MAX_USERS, 1)],
                           scalar_return=detected)
 
-    def rx_decode(spec, payloads):
-        bits = kernels.bp_decode(payloads[0], link.polar, link.bp_iters)
-        return BodyResult([make_token(bits)], [("bp", link.polar.N, 1)])
+    def rx_decode(spec, payloads, thread):
+        # The thread's first decoder to run decodes the whole batch; every
+        # decoder returns a copy of its own user's row of bits, and the last
+        # one frees the batch. A payload that is not this user's row raises.
+        user = spec.params["user"]
+        batch = batches.get(thread.tid)
+        if batch is None or user >= len(batch.rows) \
+                or payloads[0] is not batch.rows[user]:
+            raise ValueError(f"thread {thread.tid}: {spec.task_id} was not handed "
+                             f"its row of the thread's decode batch")
+        if batch.bits is None:
+            batch.bits = kernels.bp_decode_many(np.stack(batch.rows), link.polar,
+                                                link.bp_iters)
+        batch.left -= 1
+        if not batch.left:
+            del batches[thread.tid]
+        return BodyResult([make_token(batch.bits[user].copy())],
+                          [("bp", link.polar.N, 1)])
 
-    def rx_assemble(spec, payloads):
+    def rx_assemble(spec, payloads, thread):
         decoded = tuple(payloads)
         size = max(1, sum(p.size for p in decoded))
         return BodyResult([], [("assemble", size, 1)],
@@ -379,7 +417,7 @@ def make_link_body(link: LinkConfig):
         run = roles.get(role)
         if run is None:
             raise ValueError(f"unknown task role {role!r}")
-        return run(spec, payloads)
+        return run(spec, payloads, thread)
 
     return body
 

@@ -307,6 +307,18 @@ def test_bp_decode_soft_matches_reference_on_workload_frames(rng, early_exit):
     _assert_matches_reference(noisy, code, 30, early_exit)
 
 
+def test_bp_decode_soft_early_exit_matches_reference_on_noisy_short_frames():
+    # The early-exit check reads the channel-side messages of the last right
+    # stage, which the sweep computes only for that check; on these frames
+    # the exit iteration depends on them.
+    rng = np.random.default_rng(1)
+    code = K.PolarCode.design(64, 32)
+    for _ in range(8):
+        info = rng.integers(0, 2, code.K, dtype=np.int8)
+        llr = 2.0 * (1.0 - 2.0 * K.polar_encode(info, code)) + rng.normal(0, 2.0, 64)
+        _assert_matches_reference(llr[None, :], code, 30, True)
+
+
 # ---------------------------------------------------------------------------
 # rate matching
 

@@ -172,6 +172,32 @@ def test_link_body_decoders_match_single_frame_decodes(users, monkeypatch):
                 f"thread {tid}: decode batch still reachable after its last decoder"
 
 
+def test_link_body_decoder_rejects_a_foreign_payload():
+    link = small_link(users=2, snr=1.0)
+    dag = build_rx_dag(link)
+    body = make_link_body(link)
+    first, second, third = spawn_threads(TddPattern(("U",), 8000), 3, link, 11,
+                                         None, dag)
+    rows = {thread.tid: [token.payload for token in
+                         _blind_outputs(body, dag, thread).edge_outputs[:2]]
+            for thread in (first, second)}
+    own = rows[first.tid][0]
+    cases = [("dec_u00", rows[second.tid][0], first),  # another thread's row
+             ("dec_u00", rows[first.tid][1], first),  # another user's row
+             ("dec_u00", own.copy(), first),  # equal values, not the row
+             ("dec_u02", own, first),  # a decoder blind detection dismissed
+             ("dec_u00", own, third)]  # a thread with no batch yet
+    for task, payload, thread in cases:
+        with pytest.raises(ValueError, match="decode batch"):
+            body(dag.tasks[task], [payload], thread)
+    # A rejected call uses up nothing: the thread's decoders still run.
+    for user in range(2):
+        bits = body(dag.tasks[f"dec_u{user:02d}"], [rows[first.tid][user]],
+                    first).edge_outputs[0].payload
+        np.testing.assert_array_equal(
+            bits, kernels.bp_decode(rows[first.tid][user], link.polar, link.bp_iters))
+
+
 def test_link_config_validation():
     with pytest.raises(ValueError):
         small_link(users=21)
