@@ -379,9 +379,10 @@ def make_link_body(link: LinkConfig):
                           scalar_return=detected)
 
     def rx_decode(spec, payloads, thread):
-        # The thread's first decoder to run decodes the whole batch; every
-        # decoder returns a copy of its own user's row of bits, and the last
-        # one frees the batch. A payload that is not this user's row raises.
+        # The thread's first decoder to run decodes the whole batch; each
+        # returns a copy of its own user's bits, so no token keeps the batch
+        # alive, and the last one frees it. A payload that is not this
+        # user's row raises rather than decode something else.
         user = spec.params["user"]
         batch = batches.get(thread.tid)
         if batch is None or user >= len(batch.rows) \
