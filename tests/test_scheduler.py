@@ -10,9 +10,9 @@ from conftest import input_token, linear_dag, make_passthrough_body
 from wbpsim.costmodel import CostModel, CostParams
 from wbpsim.dag import Dag, TaskSpec, Token
 from wbpsim.machine import Machine, MachineConfig, SimulationStalled
-from wbpsim.scheduler import (DeploymentTable, System, TableEntry,
-                              ThreadDescriptor, ThreadStatus, mem_pack,
-                              mem_unpack)
+from wbpsim.scheduler import (ClusterScheduler, Decision, DeploymentTable,
+                              System, TableEntry, ThreadDescriptor,
+                              ThreadStatus, mem_pack, mem_unpack)
 
 # One law so synthetic task cost is predictable; ref lanes match the L tile
 # so no lane scaling applies.
@@ -85,7 +85,7 @@ def test_deployment_table_holders_and_touch():
     holders = table.holders("d1")
     assert [e.cluster_id for e in holders] == [0, 2]
     table.touch("d1", 2, 42)
-    assert table.lookup("d1", 2).last_used == 42
+    assert table.entries[("d1", 2)].last_used == 42
     table.drop("d1", 2)
     assert [e.cluster_id for e in table.holders("d1")] == [0]
 
@@ -98,7 +98,7 @@ def test_code_deployed_empty_then_hit_then_evicted():
     system.submit(t)
     system.run()
     assert system.main.code_deployed(thread(1, dag)) == 0
-    entry = system.main.table.lookup(dag.dag_id, 0)
+    entry = system.main.table.entries[(dag.dag_id, 0)]
     system.machine.clusters[0].sections["TASK_CODE_POOL"].free_region(
         entry.code_region)
     system.main.table.drop(dag.dag_id, 0)
@@ -120,6 +120,35 @@ def test_thread_manager_query_slots_and_headroom():
     assert system.main.thread_manager_query(1, thread(2, dag, nbytes=8))
 
 
+def test_eviction_that_leaves_inputs_unfit_waits_without_leaks():
+    # Path (c): the LRU dag is evicted to make code room, but the inputs
+    # still find no data room, so the thread waits and reserves nothing.
+    system = build_system(config=small_config(clusters=1))
+    dag_a = one_task_dag(tag="a")
+    dag_b = one_task_dag(tag="b")
+    sections = system.machine.clusters[0].sections
+    system.main.table.record(TableEntry(
+        dag_a.dag_id, 0, last_used=0,
+        code_region=sections["TASK_CODE_POOL"].alloc(dag_a.packed_bytes)))
+    compute = sections["COMPUTE_DATA"]
+    filler = compute.alloc(compute.capacity - 32)
+    t = thread(0, dag_b, nbytes=64)
+    system.threads[0] = t
+    system.main.pending.append(t)
+    system.main.evaluate(0)
+    assert system.main.decisions == [
+        Decision(0, 0, "wait", 0, (dag_a.dag_id,))]
+    assert system.metrics.backpressure_events == 1
+    assert system.metrics.evictions == 1
+    assert system.main.pending == [t]
+    assert system.main.table.entries == {}
+    assert sections["TASK_CODE_POOL"].allocations == {}
+    assert sections["FIFO_LISTS"].allocations == {}
+    assert list(compute.allocations) == [filler]
+    assert system.machine.clusters[0].active_threads == set()
+    system.machine.check_invariants()
+
+
 def test_get_cluster_lru_picks_oldest_with_tiebreak():
     system = build_system()
     pool0 = system.machine.clusters[0].sections["TASK_CODE_POOL"]
@@ -130,7 +159,7 @@ def test_get_cluster_lru_picks_oldest_with_tiebreak():
                                         code_region=pool0.alloc(100)))
     probe = thread(9, one_task_dag())
     assert system.main.get_cluster_lru(probe) == 0
-    system.main.table.lookup("dB", 0).last_used = 9  # now a tie at 9
+    system.main.table.entries[("dB", 0)].last_used = 9  # now a tie at 9
     assert system.main.get_cluster_lru(probe) == 0
     system.main.active_dag_threads[("dB", 0)] = 1  # busy entries are skipped
     assert system.main.get_cluster_lru(probe) == 1
@@ -333,6 +362,61 @@ def test_retrieval_deadlock_is_reported_as_stall():
                                "stuck threads [0, 1, 2, 3, 4, 5]")
     assert engine.now == 12000
     assert system.metrics.retrieval_stalls > 0
+
+
+def step_until(system, done):
+    engine = system.machine.engine
+    while not done():
+        engine.run_until(engine._heap[0][0], system.handle)
+
+
+def test_retrieval_that_fits_one_of_two_tokens_stalls_then_completes(monkeypatch):
+    # Task a returns one 128-byte token per successor. With 192 data bytes
+    # free the first fits and the second does not, so the retrieval stalls
+    # and leaves the section as it was; once space frees it takes both.
+    dag = Dag()
+    for task_id in ("a", "b", "c"):
+        dag.add_task(TaskSpec(task_id=task_id, kernel="assemble",
+                              attribute="ANY", code_bytes=512))
+    dag.add_edge("EXTERNAL", "a")
+    dag.add_edge("a", "b")
+    dag.add_edge("a", "c")
+    dag.freeze()
+    config = small_config(clusters=1, section_bytes={
+        "TASK_CODE_POOL": 5000, "FIFO_LISTS": 4096, "LOAD_INDICATION": 2048,
+        "COMPUTE_DATA": 1024})
+    system = System(Machine(config), FLAT_COST,
+                    make_passthrough_body(token_bytes=128))
+    compute = system.machine.clusters[0].sections["COMPUTE_DATA"]
+    calls = []
+    original = ClusterScheduler.start_retrieval
+
+    def recording(self, task_run, now):
+        before = (dict(compute.allocations), list(compute._spans))
+        started = original(self, task_run, now)
+        calls.append((task_run, started, before,
+                      (dict(compute.allocations), list(compute._spans))))
+        return started
+
+    monkeypatch.setattr(ClusterScheduler, "start_retrieval", recording)
+    system.submit(thread(0, dag))
+    system._post_tick(config.sched_tick_cycles)
+    step_until(system, lambda: system.metrics.dispatched_tasks == 1)
+    assert compute.allocations == {}  # the input left with the deploy
+    filler = compute.alloc(compute.capacity - 192)
+    step_until(system, lambda: calls)
+    task_run, started, before, after = calls[0]
+    assert task_run.task_id == "a" and not started
+    assert after == before
+    assert system.metrics.retrieval_stalls == 1
+    compute.free_region(filler)
+    system.machine.engine.run(system.handle)
+    task_run, started, before, after = calls[1]
+    assert task_run.task_id == "a" and started
+    assert len(set(task_run.output_regions)) == 2
+    assert system.threads[0].status is ThreadStatus.DONE
+    assert system.metrics.retrieval_stalls == 1
+    assert compute.allocations == {}
 
 
 # ---------------------------------------------------------------------------
