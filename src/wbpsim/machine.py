@@ -19,7 +19,7 @@ import enum
 import hashlib
 import heapq
 import json
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -36,7 +36,7 @@ class SimulationStalled(RuntimeError):
 
 
 class AllocationFailure(RuntimeError):
-    """A scratchpad section could not fit the request (caller backpressures)."""
+    """A scratchpad could not fit a request that its caller did not check."""
 
 
 class EventKind(enum.Enum):
@@ -150,6 +150,9 @@ class SpmSection:
     same pairs sorted by offset, and ``_span_regions`` their region ids in
     the same order, so first fit and the invariant check walk them without
     re-sorting. Live spans never share an offset.
+
+    A section changes only through ``alloc`` and ``free_region``, and only
+    for real reservations; ``would_fit`` changes nothing.
     """
 
     def __init__(self, name: str, capacity: int):
@@ -170,25 +173,33 @@ class SpmSection:
     def free(self) -> int:
         return self.capacity - self.used
 
-    def would_fit(self, nbytes: int) -> bool:
-        return self._find_offset(nbytes) is not None
-
-    def _find_offset(self, nbytes: int) -> int | None:
-        if nbytes > self.capacity:
-            return None
+    def _first_fit(self, spans: list[tuple[int, int]], nbytes: int) -> int | None:
+        """Lowest offset of a hole of ``nbytes`` between ``spans``, or None."""
+        if nbytes <= 0:
+            raise ValueError("allocation size must be positive")
         cursor = 0
-        for offset, size in self._spans:
+        for offset, size in spans:
             if offset - cursor >= nbytes:
                 return cursor
             cursor = offset + size
-        if self.capacity - cursor >= nbytes:
-            return cursor
-        return None
+        return cursor if self.capacity - cursor >= nbytes else None
+
+    def would_fit(self, *sizes: int) -> bool:
+        """Whether allocating ``sizes`` one after another would succeed."""
+        spans = self._spans
+        last = len(sizes) - 1
+        for i, nbytes in enumerate(sizes):
+            offset = self._first_fit(spans, nbytes)
+            if offset is None:
+                return False
+            if i < last:  # the later sizes must see this one placed
+                if spans is self._spans:
+                    spans = spans.copy()
+                insort(spans, (offset, nbytes))
+        return True
 
     def alloc(self, nbytes: int) -> int:
-        if nbytes <= 0:
-            raise ValueError("allocation size must be positive")
-        offset = self._find_offset(nbytes)
+        offset = self._first_fit(self._spans, nbytes)
         if offset is None:
             raise AllocationFailure(f"{self.name}: no fit for {nbytes} bytes")
         region = self._next_region
@@ -293,9 +304,6 @@ class ClusterState:
     dma: DmaEngine
     max_threads: int
     active_threads: set[int] = field(default_factory=set)
-
-    def section(self, name: str) -> SpmSection:
-        return self.sections[name]
 
     def idle_tiles(self) -> list[TileState]:
         return [t for t in self.tiles if t.run_state is RunState.IDLE]

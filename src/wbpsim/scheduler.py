@@ -20,6 +20,12 @@ tasks, taken when the scan starts. That equals the walk's count, because a
 dispatch only pops the dispatched task's inputs and so changes no other
 task's readiness during the scan.
 
+A scratchpad section changes only through ``alloc`` and ``free_region``,
+on real reservations. Every fit query is pure: a placement, a dispatch and a
+retrieval each ask ``would_fit`` for everything they will reserve, then
+allocate, so nothing is ever rolled back and an ``AllocationFailure`` in
+them is a bug.
+
 All mutation happens inside the single-threaded event loop, so a (config,
 seed) pair always yields the same event stream and trace digest.
 """
@@ -35,11 +41,16 @@ from typing import Any, Callable
 
 from .costmodel import CostModel
 from .dag import PACK_HEADER_BYTES, Dag, DagInstance, TaskState, Token
-from .machine import (AllocationFailure, ClusterState, Event, EventKind,
-                      Machine, RunState, SimulationStalled, TileState)
+from .machine import (ClusterState, Event, EventKind, Machine, RunState,
+                      SimulationStalled, TileState)
 
 FIFO_RECORD_BYTES = 16
 LOAD_INDICATION_BYTES = 16
+
+
+def _fifo_bytes(dag: Dag) -> int:
+    """FIFO_LISTS bytes of one thread of ``dag``: a record per edge."""
+    return max(1, len(dag.edges) * FIFO_RECORD_BYTES)
 
 
 class ThreadStatus(enum.Enum):
@@ -82,9 +93,6 @@ class DeploymentTable:
     def holders(self, dag_id: str) -> list[TableEntry]:
         return sorted((e for (d, _), e in self.entries.items() if d == dag_id),
                       key=lambda e: e.cluster_id)
-
-    def lookup(self, dag_id: str, cluster_id: int) -> TableEntry | None:
-        return self.entries.get((dag_id, cluster_id))
 
     def record(self, entry: TableEntry) -> None:
         key = (entry.dag_id, entry.cluster_id)
@@ -292,15 +300,14 @@ class ClusterScheduler:
             # Deployment failure: the task stays ready and is retried later.
             self.system.metrics.deployment_failures += 1
             return None
-        try:
-            ind_region = self.cluster.section("LOAD_INDICATION").alloc(
-                LOAD_INDICATION_BYTES)
-        except AllocationFailure:
+        indication = self.cluster.sections["LOAD_INDICATION"]
+        if not indication.would_fit(LOAD_INDICATION_BYTES):
             self.system.metrics.backpressure_events += 1
             return None
+        ind_region = indication.alloc(LOAD_INDICATION_BYTES)
         tokens = instance.pop_inputs(task_id)
         for token in tokens:
-            self.cluster.section("COMPUTE_DATA").free_region(token.region)
+            self.cluster.sections["COMPUTE_DATA"].free_region(token.region)
         result = self.system.execute_body(spec, tokens, run.thread)
         cycles = self.system.cost_of(result, tile)
         instance.set_state(task_id, TaskState.DISPATCHED)
@@ -315,21 +322,15 @@ class ClusterScheduler:
     # -- completion ----------------------------------------------------------
 
     def start_retrieval(self, task_run: TaskRun, now: int) -> bool:
-        compute = self.cluster.section("COMPUTE_DATA")
-        needed = task_run.result.returned_tokens()
-        regions = []
-        try:
-            for token in needed:
-                regions.append(compute.alloc(token.byte_size))
-        except AllocationFailure:
-            for region in regions:
-                compute.free_region(region)
+        compute = self.cluster.sections["COMPUTE_DATA"]
+        sizes = [t.byte_size for t in task_run.result.returned_tokens()]
+        if not compute.would_fit(*sizes):
             self.system.metrics.retrieval_stalls += 1
             self.stalled_retrievals.append(task_run)
             return False
-        task_run.output_regions = regions
+        task_run.output_regions = [compute.alloc(size) for size in sizes]
         self.system.machine.begin_retrieval(
-            self.cluster, task_run.tile, sum(t.byte_size for t in needed), now,
+            self.cluster, task_run.tile, sum(sizes), now,
             ctx=("retrieval", task_run), thread=task_run.run.thread.tid,
             task=task_run.task_id)
         return True
@@ -352,7 +353,7 @@ class ClusterScheduler:
         task_id = task_run.task_id
         self.system.machine.release_tile(task_run.tile, now)
         task_run.tile.busy_cycles += task_run.cycles
-        self.cluster.section("LOAD_INDICATION").free_region(task_run.indication_region)
+        self.cluster.sections["LOAD_INDICATION"].free_region(task_run.indication_region)
         instance.set_state(task_id, TaskState.DONE)
         rule = dag.dismissal_rule(task_id)
         if rule is not None:
@@ -373,7 +374,7 @@ class ClusterScheduler:
             token = dataclasses.replace(token, region=next(region_iter))
             if dst in instance.states and instance.states[dst] is TaskState.DISMISSED:
                 # Successor pruned after this body was computed; drop the token.
-                self.cluster.section("COMPUTE_DATA").free_region(token.region)
+                self.cluster.sections["COMPUTE_DATA"].free_region(token.region)
                 continue
             instance.push_token(edge_idx, token)
         if task_run.result.thread_output is not None:
@@ -385,7 +386,7 @@ class ClusterScheduler:
         self.scan(now)
 
     def finish_thread(self, run: ThreadRun, now: int) -> None:
-        compute = self.cluster.section("COMPUTE_DATA")
+        compute = self.cluster.sections["COMPUTE_DATA"]
         for fifo in run.instance.fifos.values():
             for token in fifo:
                 compute.free_region(token.region)
@@ -393,7 +394,7 @@ class ClusterScheduler:
         for tokens in run.instance.outputs.values():
             for token in tokens:
                 compute.free_region(token.region)
-        self.cluster.section("FIFO_LISTS").free_region(run.fifo_region)
+        self.cluster.sections["FIFO_LISTS"].free_region(run.fifo_region)
         self.cluster.active_threads.discard(run.thread.tid)
         run.thread.advance(ThreadStatus.DONE)
         run.completed_at = now
@@ -424,7 +425,8 @@ class MainScheduler:
         admitting = []
         for entry in self.table.holders(thread.dag.dag_id):
             sched = self.system.cluster_scheds[entry.cluster_id]
-            if sched.slot_free() and self._data_would_fit(sched.cluster, thread):
+            if sched.slot_free() and \
+                    self._bundle_fits(sched.cluster, thread, ship_dag=False):
                 admitting.append(entry.cluster_id)
         if not admitting:
             return None
@@ -435,16 +437,9 @@ class MainScheduler:
     def thread_manager_query(self, cluster_id: int, thread: ThreadDescriptor) -> bool:
         """Slot plus scratchpad headroom for the full dag+data bundle."""
         sched = self.system.cluster_scheds[cluster_id]
-        if not self.system.cluster_covers(cluster_id, thread.dag):
-            return False
-        if not sched.slot_free():
-            return False
-        cluster = sched.cluster
-        resident = self.table.lookup(thread.dag.dag_id, cluster_id)
-        if resident is None and \
-                not cluster.section("TASK_CODE_POOL").would_fit(thread.dag.packed_bytes):
-            return False
-        return self._data_would_fit(cluster, thread)
+        return self.system.cluster_covers(cluster_id, thread.dag) and \
+            sched.slot_free() and \
+            self._bundle_fits(sched.cluster, thread, ship_dag=True)
 
     def get_cluster_lru(self, thread: ThreadDescriptor) -> int | None:
         """Cluster of the least-recently-used evictable entry, or None.
@@ -463,52 +458,18 @@ class MainScheduler:
         best = min(candidates, key=lambda e: (e.last_used, e.cluster_id))
         return best.cluster_id
 
-    # -- helper allocation -----------------------------------------------------
+    # -- reservations -----------------------------------------------------------
 
-    def _data_would_fit(self, cluster: ClusterState, thread: ThreadDescriptor) -> bool:
-        fifo_bytes = max(1, len(thread.dag.edges) * FIFO_RECORD_BYTES)
-        if not cluster.section("FIFO_LISTS").would_fit(fifo_bytes):
+    def _bundle_fits(self, cluster: ClusterState, thread: ThreadDescriptor,
+                     ship_dag: bool) -> bool:
+        """The sections have room for all that ``_place`` reserves: the
+        packed dag when it is shipped, one FIFO record and every input."""
+        sections = cluster.sections
+        if ship_dag and \
+                not sections["TASK_CODE_POOL"].would_fit(thread.dag.packed_bytes):
             return False
-        compute = cluster.section("COMPUTE_DATA")
-        regions = []
-        ok = True
-        try:
-            for token in thread.inputs:
-                regions.append(compute.alloc(token.byte_size))
-        except AllocationFailure:
-            ok = False
-        for region in regions:
-            compute.free_region(region)
-        return ok
-
-    def _alloc_thread(self, cluster: ClusterState, thread: ThreadDescriptor,
-                      dag_bytes: int | None) -> tuple[int, int]:
-        """Reserve sections for a placement and tag the thread's input tokens
-        with their data regions; returns (code_region, fifo_region) with
-        code_region == -1 for data-only. Raises AllocationFailure, having
-        released everything, when a section has no room."""
-        code_region = -1
-        fifo_region = -1
-        regions: list[int] = []
-        try:
-            if dag_bytes is not None:
-                code_region = cluster.section("TASK_CODE_POOL").alloc(dag_bytes)
-            fifo_region = cluster.section("FIFO_LISTS").alloc(
-                max(1, len(thread.dag.edges) * FIFO_RECORD_BYTES))
-            compute = cluster.section("COMPUTE_DATA")
-            for token in thread.inputs:
-                regions.append(compute.alloc(token.byte_size))
-        except AllocationFailure:
-            if code_region != -1:
-                cluster.section("TASK_CODE_POOL").free_region(code_region)
-            if fifo_region != -1:
-                cluster.section("FIFO_LISTS").free_region(fifo_region)
-            for region in regions:
-                cluster.section("COMPUTE_DATA").free_region(region)
-            raise
-        thread.inputs = [dataclasses.replace(token, region=region)
-                         for token, region in zip(thread.inputs, regions)]
-        return code_region, fifo_region
+        return sections["FIFO_LISTS"].would_fit(_fifo_bytes(thread.dag)) and \
+            sections["COMPUTE_DATA"].would_fit(*(t.byte_size for t in thread.inputs))
 
     # -- the thread-level scheduling pass ---------------------------------------
 
@@ -521,16 +482,19 @@ class MainScheduler:
 
     def _place(self, thread: ThreadDescriptor, cluster_id: int, now: int,
                decision_time: int, ship_dag: bool, register: bool) -> None:
-        """Reserve the cluster's sections and ship the bundle; raises
-        AllocationFailure when they have no room."""
+        """Reserve what ``_bundle_fits`` found room for, tag the input tokens
+        with their data regions, and ship the bundle."""
         cluster = self.system.cluster_scheds[cluster_id].cluster
-        dag_bytes = thread.dag.packed_bytes
-        code_region, fifo_region = self._alloc_thread(
-            cluster, thread, dag_bytes if ship_dag else None)
+        compute = cluster.sections["COMPUTE_DATA"]
+        thread.inputs = [dataclasses.replace(t, region=compute.alloc(t.byte_size))
+                         for t in thread.inputs]
         run = ThreadRun(thread=thread, cluster_id=cluster_id,
-                        fifo_region=fifo_region)
+                        fifo_region=cluster.sections["FIFO_LISTS"].alloc(
+                            _fifo_bytes(thread.dag)))
         transfer_bytes = sum(t.byte_size for t in thread.inputs)
         if ship_dag:
+            dag_bytes = thread.dag.packed_bytes
+            code_region = cluster.sections["TASK_CODE_POOL"].alloc(dag_bytes)
             transfer_bytes += dag_bytes
             self.system.metrics.dag_transfers += 1
             if register:
@@ -552,8 +516,8 @@ class MainScheduler:
 
     def _try_place(self, thread: ThreadDescriptor, now: int,
                    decision_time: int) -> bool:
-        # (a) residency hit: ship data only. code_deployed checked the same
-        # FIFO and input fit that _place reserves, so it cannot fail.
+        # (a) residency hit: ship data only. Here and below, _place reserves
+        # what _bundle_fits found room for, so it cannot fail.
         cid = self.code_deployed(thread)
         if cid is not None:
             self._place(thread, cid, now, decision_time,
@@ -579,13 +543,12 @@ class MainScheduler:
             self.system.metrics.backpressure_events += 1
             return False
         evicted = tuple(self._evict_until_fit(cid, thread))
-        try:
-            self._place(thread, cid, now, decision_time,
-                        ship_dag=True, register=True)
-        except AllocationFailure:
+        if not self._bundle_fits(self.system.cluster_scheds[cid].cluster, thread,
+                                 ship_dag=True):
             self.system.metrics.backpressure_events += 1
             self.decisions.append(Decision(now, thread.tid, "wait", cid, evicted))
             return False
+        self._place(thread, cid, now, decision_time, ship_dag=True, register=True)
         self.decisions.append(Decision(now, thread.tid, "evict", cid, evicted))
         return True
 
@@ -593,14 +556,14 @@ class MainScheduler:
         """Free idle LRU entries on the cluster until the bundle would fit."""
         cluster = self.system.cluster_scheds[cluster_id].cluster
         evicted: list[str] = []
-        while not cluster.section("TASK_CODE_POOL").would_fit(thread.dag.packed_bytes):
+        while not cluster.sections["TASK_CODE_POOL"].would_fit(thread.dag.packed_bytes):
             idle = [e for e in self.table.entries.values()
                     if e.cluster_id == cluster_id
                     and self.active_dag_threads.get((e.dag_id, cluster_id), 0) == 0]
             if not idle:
                 break
             victim = min(idle, key=lambda e: (e.last_used, e.dag_id))
-            cluster.section("TASK_CODE_POOL").free_region(victim.code_region)
+            cluster.sections["TASK_CODE_POOL"].free_region(victim.code_region)
             self.table.drop(victim.dag_id, cluster_id)
             self.system.metrics.evictions += 1
             evicted.append(victim.dag_id)
@@ -613,7 +576,7 @@ class MainScheduler:
         if run.anon_code_region is not None:
             # Unregistered placement (literal control flow): nothing retains
             # the code once its thread ends.
-            cluster.section("TASK_CODE_POOL").free_region(run.anon_code_region)
+            cluster.sections["TASK_CODE_POOL"].free_region(run.anon_code_region)
             return
         # A registered entry outlives its threads: eviction and eager
         # deletion only drop entries that no live thread uses.
@@ -621,7 +584,7 @@ class MainScheduler:
         if self.system.lazy_deletion:
             entry.last_used = now
         elif self.active_dag_threads[key] == 0:
-            cluster.section("TASK_CODE_POOL").free_region(entry.code_region)
+            cluster.sections["TASK_CODE_POOL"].free_region(entry.code_region)
             self.table.drop(entry.dag_id, entry.cluster_id)
 
 

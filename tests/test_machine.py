@@ -1,9 +1,10 @@
 """Event engine determinism, scratchpad allocation, DMA and protocol timing."""
 
+import copy
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wbpsim.costmodel import DmaTiming
@@ -183,12 +184,35 @@ def test_check_rejects_span_index_drift():
         spm.check()
 
 
+def allocates_in_turn(spm, sizes):
+    """Whether allocating ``sizes`` one after another succeeds, on a copy."""
+    trial = copy.deepcopy(spm)
+    try:
+        for size in sizes:
+            trial.alloc(size)
+    except AllocationFailure:
+        return False
+    return True
+
+
+def allocator_state(spm):
+    return (dict(spm.allocations), list(spm._spans), list(spm._span_regions),
+            spm._next_region)
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=40))
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 40),
+                          st.lists(st.integers(1, 70), max_size=4)),
+                max_size=40))
+# The first size fits and the second does not: only a 64-byte hole is left.
+@example([(True, 40, []), (True, 24, []), (False, 0, [60, 8])])
 def test_allocator_invariants_under_random_ops(ops):
     spm = SpmSection("s", 128)
     live = []
-    for is_alloc, size in ops:
+    for is_alloc, size, query in ops:
+        before = allocator_state(spm)
+        assert spm.would_fit(*query) == allocates_in_turn(spm, query)
+        assert allocator_state(spm) == before
         if is_alloc or not live:
             expected = first_fit_oracle(spm, size)
             try:

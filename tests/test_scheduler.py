@@ -9,7 +9,7 @@ import pytest
 from conftest import input_token, linear_dag, make_passthrough_body
 from wbpsim.costmodel import CostModel, CostParams
 from wbpsim.dag import Dag, TaskSpec, Token
-from wbpsim.machine import Machine, MachineConfig, SimulationStalled
+from wbpsim.machine import Machine, MachineConfig, SimulationStalled, SpmSection
 from wbpsim.scheduler import (ClusterScheduler, Decision, DeploymentTable,
                               System, TableEntry, ThreadDescriptor,
                               ThreadStatus, mem_pack, mem_unpack)
@@ -118,6 +118,27 @@ def test_thread_manager_query_slots_and_headroom():
     big.alloc(big.capacity - 16)
     assert not system.main.thread_manager_query(1, thread(1, dag, nbytes=64))
     assert system.main.thread_manager_query(1, thread(2, dag, nbytes=8))
+
+
+def test_fit_queries_never_allocate(monkeypatch):
+    # A section changes only on a real reservation, so asking whether a
+    # bundle fits must not allocate, not even to free again.
+    system = build_system()
+    dag = one_task_dag()
+    pool0 = system.machine.clusters[0].sections["TASK_CODE_POOL"]
+    system.main.table.record(TableEntry(dag.dag_id, 0, last_used=0,
+                                        code_region=pool0.alloc(dag.packed_bytes)))
+    probe = ThreadDescriptor(tid=0, dag=dag, arrival_time=0,
+                             inputs=[input_token(64), input_token(32)])
+
+    def refuse(self, *args):
+        raise AssertionError(f"{self.name} changed during a fit query")
+
+    monkeypatch.setattr(SpmSection, "alloc", refuse)
+    monkeypatch.setattr(SpmSection, "free_region", refuse)
+    assert system.main.code_deployed(probe) == 0
+    assert system.main.thread_manager_query(1, probe)
+    assert system.main.thread_manager_query(2, probe)
 
 
 def test_eviction_that_leaves_inputs_unfit_waits_without_leaks():
