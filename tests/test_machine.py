@@ -205,7 +205,7 @@ def allocator_state(spm):
                           st.lists(st.integers(1, 70), max_size=4)),
                 max_size=40))
 # The first size fits and the second does not: only a 64-byte hole is left.
-@example([(True, 40, []), (True, 24, []), (False, 0, [60, 8])])
+@example([(True, 40, []), (True, 24, []), (False, 1, [60, 8])])
 def test_allocator_invariants_under_random_ops(ops):
     spm = SpmSection("s", 128)
     live = []
