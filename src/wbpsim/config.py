@@ -150,6 +150,8 @@ def _build_setup(values: dict[tuple[str, str], object]) -> RunSetup:
         raise ConfigError(f"pattern: {exc}") from None
 
     invariant(get("run", "n_slots") >= 1, "n_slots", "must be >= 1")
+    invariant(link.users_per_slot >= 1 or "D" not in pattern.slots[:get("run", "n_slots")],
+              "users_per_slot", "must be >= 1 when a downlink slot runs")
     for key in ("dma_setup_cycles", "dma_bytes_per_cycle", "csr_write_cycles",
                 "thread_eval_cycles", "scan_visit_cycles", "sched_tick_cycles"):
         invariant(get("cost", key) > 0, key, "must be positive")

@@ -11,6 +11,12 @@ code+data in over the cluster DMA, flip the port back to the core, release
 the core's reset (3 CSR writes plus one burst). Completion mirrors it: the
 tile posts its return-value count, the port flips back to the bus, an
 interrupt reaches the cluster scheduler, and the DMA retrieves the results.
+
+The machine owns that protocol. ``Machine._advance`` is the only writer of
+a tile's ``run_state`` (IDLE -> LOADING -> RUNNING -> RETURNING -> IDLE); it
+stamps ``since`` and adds each RUNNING span to ``busy_cycles``. The machine
+also posts every event of a tile job, each a copy of the deploy event's
+cluster, tile, thread, task and ctx.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import hashlib
 import heapq
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .costmodel import DmaTiming, TileTiming, dma_cycles
@@ -56,7 +62,7 @@ class Event:
     thread: int = -1
     task: str = ""
     nbytes: int = 0
-    ctx: Any = None  # dispatch context only; excluded from digest and trace
+    ctx: Any = None  # the event's subject; excluded from digest and trace
     seq: int = -1
 
 
@@ -134,6 +140,11 @@ class EventEngine:
         while self._heap and self._heap[0][0] <= t:
             self._step(handler, max_events)
         self._now = max(self._now, t)
+
+    @property
+    def pending(self) -> int:
+        """Posted events not yet dispatched."""
+        return len(self._heap)
 
     def digest(self) -> str:
         return self._digest.hexdigest()
@@ -275,6 +286,10 @@ class RunState(enum.Enum):
     RETURNING = "returning"
 
 
+# The one legal successor of each tile state.
+_NEXT_STATE = {RunState.IDLE: RunState.LOADING, RunState.LOADING: RunState.RUNNING,
+               RunState.RUNNING: RunState.RETURNING, RunState.RETURNING: RunState.IDLE}
+
 TILE_CLASS_TIMING = {
     "L": TileTiming(lanes=16, vrf_count=32),
     "S": TileTiming(lanes=8, vrf_count=64),
@@ -292,8 +307,8 @@ class TileState:
     run_state: RunState = RunState.IDLE
     reset_active: bool = True
     return_value_count: int = 0
-    busy_cycles: int = 0
-    last_finish: int = -1
+    busy_cycles: int = 0  # summed RUNNING spans
+    since: int = 0  # when run_state took effect
 
 
 @dataclass
@@ -366,6 +381,8 @@ class Machine:
                 max_threads=config.max_threads))
         self.main_dma = DmaEngine("main.dma", config.dma)
         self.tiles = {t.tile_id: t for c in self.clusters for t in c.tiles}
+        # tile id -> (deploy event, compute cycles) from deploy to release
+        self._jobs: dict[int, tuple[Event, int]] = {}
 
     @property
     def violations(self) -> int:
@@ -378,6 +395,22 @@ class Machine:
         if self.config.strict:
             raise ProtocolViolation(message)
 
+    def _advance(self, tile: TileState, state: RunState, at: int) -> None:
+        """Move the tile to ``state``, which takes effect at ``at``."""
+        if _NEXT_STATE[tile.run_state] is not state:
+            self._violate(f"tile {tile.tile_id}: {tile.run_state.value} -> {state.value}")
+        if tile.run_state is RunState.RUNNING:
+            tile.busy_cycles += at - tile.since
+        tile.run_state = state
+        tile.since = at
+
+    def _post_job(self, tile: TileState, kind: EventKind, time: int,
+                  nbytes: int = 0) -> Event | None:
+        """Post a copy of the tile's job, if any (lenient runs may lack one)."""
+        if tile.tile_id in self._jobs:
+            job = self._jobs[tile.tile_id][0]
+            return self.engine.post(replace(job, time=time, kind=kind, nbytes=nbytes))
+
     def set_port_direction(self, tile: TileState, direction: PortDirection) -> int:
         """Atomic CSR write flipping scratchpad ownership; returns its cost."""
         if tile.run_state is RunState.RUNNING:
@@ -386,64 +419,61 @@ class Machine:
         return self.config.dma.csr_write_cycles
 
     def begin_deploy(self, cluster: ClusterState, tile: TileState,
-                     code_bytes: int, data_bytes: int, now: int,
+                     code_bytes: int, data_bytes: int, cycles: int, now: int,
                      ctx: Any, thread: int = -1, task: str = "") -> Event:
-        """Port->BUS, program the cluster DMA, and post its completion.
-
-        The remaining two CSR writes (port->CORE, reset release) are applied
-        by ``finish_deploy`` when the burst completes.
-        """
-        if tile.run_state is not RunState.IDLE:
-            raise ProtocolViolation(f"tile {tile.tile_id}: deploy while busy")
+        """Port->BUS, program the cluster DMA, and post its completion, which
+        is the tile's job until release. ``finish_deploy`` applies the other
+        two CSR writes (port->CORE, reset release); the job then runs for
+        ``cycles``."""
         total = code_bytes + data_bytes
         if total > tile.tspm_capacity:
             raise AllocationFailure(
                 f"tile {tile.tile_id}: payload {total} exceeds scratchpad")
+        self._advance(tile, RunState.LOADING, now)
         csr = self.set_port_direction(tile, PortDirection.BUS)
-        tile.run_state = RunState.LOADING
         _, done = cluster.dma.reserve(now + csr, total)
-        return self.engine.post(Event(
+        job = self.engine.post(Event(
             time=done, kind=EventKind.DMA_DONE, cluster=cluster.cluster_id,
             tile=tile.tile_id, thread=thread, task=task, nbytes=total, ctx=ctx))
+        self._jobs[tile.tile_id] = (job, cycles)
+        return job
 
     def finish_deploy(self, tile: TileState) -> int:
-        """Flip the port to the core and release reset; returns start time."""
-        if tile.run_state is not RunState.LOADING:
-            self._violate(f"tile {tile.tile_id}: deploy completion in {tile.run_state}")
+        """Port->CORE, reset release and TILE_DONE; returns the start time."""
+        start = self.engine.now + 2 * self.config.dma.csr_write_cycles
+        self._advance(tile, RunState.RUNNING, start)
         if tile.port is not PortDirection.BUS:
             self._violate(f"tile {tile.tile_id}: DMA finished with port at core")
-        csr = self.set_port_direction(tile, PortDirection.CORE)
+        tile.port = PortDirection.CORE
         tile.reset_active = False
-        tile.run_state = RunState.RUNNING
-        return self.engine.now + csr + self.config.dma.csr_write_cycles
+        _, cycles = self._jobs.get(tile.tile_id, (None, 0))
+        self._post_job(tile, EventKind.TILE_DONE, start + cycles)
+        return start
 
     def tile_finish(self, tile: TileState, return_count: int) -> int:
-        """Record return values, flip port to bus; returns the interrupt time."""
-        if tile.run_state is not RunState.RUNNING:
-            self._violate(f"tile {tile.tile_id}: finish while {tile.run_state}")
+        """Record returns, port->BUS and interrupt; returns the interrupt time."""
+        self._advance(tile, RunState.RETURNING, self.engine.now)
         if tile.port is not PortDirection.CORE:
             self._violate(f"tile {tile.tile_id}: ran with port at bus")
         tile.return_value_count = return_count
-        tile.run_state = RunState.RETURNING
         tile.reset_active = True
         tile.port = PortDirection.BUS
-        return self.engine.now + self.config.dma.csr_write_cycles
+        interrupt_time = self.engine.now + self.config.dma.csr_write_cycles
+        self._post_job(tile, EventKind.INTERRUPT, interrupt_time)
+        return interrupt_time
 
     def begin_retrieval(self, cluster: ClusterState, tile: TileState,
-                        nbytes: int, now: int, ctx: Any,
-                        thread: int = -1, task: str = "") -> Event:
+                        nbytes: int, now: int) -> Event | None:
         if tile.run_state is not RunState.RETURNING:
             self._violate(f"tile {tile.tile_id}: retrieval while {tile.run_state}")
         if tile.port is not PortDirection.BUS:
             self._violate(f"tile {tile.tile_id}: retrieval with port at core")
         _, done = cluster.dma.reserve(now, nbytes)
-        return self.engine.post(Event(
-            time=done, kind=EventKind.DMA_DONE, cluster=cluster.cluster_id,
-            tile=tile.tile_id, thread=thread, task=task, nbytes=nbytes, ctx=ctx))
+        return self._post_job(tile, EventKind.DMA_DONE, done, nbytes)
 
     def release_tile(self, tile: TileState, now: int) -> None:
-        tile.run_state = RunState.IDLE
-        tile.last_finish = now
+        self._advance(tile, RunState.IDLE, now)
+        self._jobs.pop(tile.tile_id, None)
 
     def main_transfer(self, now: int, nbytes: int, cluster_id: int,
                       thread: int, ctx: Any) -> Event:

@@ -26,6 +26,11 @@ retrieval each ask ``would_fit`` for everything they will reserve, then
 allocate, so nothing is ever rolled back and an ``AllocationFailure`` in
 them is a bug.
 
+``System.handle`` only schedules: the machine changes tile states, keeps
+tile time and posts every event of a tile job. An event's ctx is its
+subject: the ``ThreadDescriptor`` of an arrival, the ``ThreadRun`` of a
+thread bundle, the ``TaskRun`` of a tile job, None for the tick.
+
 All mutation happens inside the single-threaded event loop, so a (config,
 seed) pair always yields the same event stream and trace digest.
 """
@@ -215,7 +220,6 @@ class TaskRun:
     task_id: str
     tile: TileState
     result: BodyResult
-    cycles: int
     indication_region: int
     output_regions: list[int] = field(default_factory=list)
 
@@ -253,7 +257,7 @@ class ClusterScheduler:
                       if attribute == "ANY" or t.tile_class == attribute[0]]
         if not candidates:
             return None
-        return min(candidates, key=lambda t: (t.last_finish, t.tile_id))
+        return min(candidates, key=lambda t: (t.since, t.tile_id))
 
     def scan(self, now: int) -> list[TaskRun]:
         """One pass over resident instances; dispatches what fits right now.
@@ -312,11 +316,11 @@ class ClusterScheduler:
         cycles = self.system.cost_of(result, tile)
         instance.set_state(task_id, TaskState.DISPATCHED)
         task_run = TaskRun(run=run, task_id=task_id, tile=tile, result=result,
-                           cycles=cycles, indication_region=ind_region)
+                           indication_region=ind_region)
         self.system.metrics.dispatched_tasks += 1
         self.system.machine.begin_deploy(
-            self.cluster, tile, spec.code_bytes, in_bytes, now,
-            ctx=("deploy", task_run), thread=run.thread.tid, task=task_id)
+            self.cluster, tile, spec.code_bytes, in_bytes, cycles, now,
+            ctx=task_run, thread=run.thread.tid, task=task_id)
         return task_run
 
     # -- completion ----------------------------------------------------------
@@ -330,9 +334,7 @@ class ClusterScheduler:
             return False
         task_run.output_regions = [compute.alloc(size) for size in sizes]
         self.system.machine.begin_retrieval(
-            self.cluster, task_run.tile, sum(sizes), now,
-            ctx=("retrieval", task_run), thread=task_run.run.thread.tid,
-            task=task_run.task_id)
+            self.cluster, task_run.tile, sum(sizes), now)
         return True
 
     def retry_stalled(self, now: int) -> None:
@@ -352,7 +354,6 @@ class ClusterScheduler:
         dag = run.thread.dag
         task_id = task_run.task_id
         self.system.machine.release_tile(task_run.tile, now)
-        task_run.tile.busy_cycles += task_run.cycles
         self.cluster.sections["LOAD_INDICATION"].free_region(task_run.indication_region)
         instance.set_state(task_id, TaskState.DONE)
         rule = dag.dismissal_rule(task_id)
@@ -512,7 +513,7 @@ class MainScheduler:
         thread.advance(ThreadStatus.REGISTERED)
         self.system.machine.main_transfer(
             decision_time, transfer_bytes, cluster_id, thread.tid,
-            ctx=("thread_payload", run))
+            ctx=run)
 
     def _try_place(self, thread: ThreadDescriptor, now: int,
                    decision_time: int) -> bool:
@@ -536,21 +537,22 @@ class MainScheduler:
                             register=not self.strict_algorithm)
                 self.decisions.append(Decision(now, thread.tid, "admit", cid))
                 return True
-        # (c) evict the least-recently-used idle dag and place there.
+        # (c) evict the least-recently-used idle dag and place there. Eviction
+        # frees only code room, so it is tried only if the rest fits.
         cid = self.get_cluster_lru(thread)
-        if cid is None:
-            self.decisions.append(Decision(now, thread.tid, "wait"))
-            self.system.metrics.backpressure_events += 1
-            return False
-        evicted = tuple(self._evict_until_fit(cid, thread))
-        if not self._bundle_fits(self.system.cluster_scheds[cid].cluster, thread,
+        evicted: tuple[str, ...] = ()
+        if cid is not None and self._bundle_fits(
+                self.system.cluster_scheds[cid].cluster, thread, ship_dag=False):
+            evicted = tuple(self._evict_until_fit(cid, thread))
+            if self._bundle_fits(self.system.cluster_scheds[cid].cluster, thread,
                                  ship_dag=True):
-            self.system.metrics.backpressure_events += 1
-            self.decisions.append(Decision(now, thread.tid, "wait", cid, evicted))
-            return False
-        self._place(thread, cid, now, decision_time, ship_dag=True, register=True)
-        self.decisions.append(Decision(now, thread.tid, "evict", cid, evicted))
-        return True
+                self._place(thread, cid, now, decision_time, ship_dag=True, register=True)
+                self.decisions.append(Decision(now, thread.tid, "evict", cid, evicted))
+                return True
+        self.system.metrics.backpressure_events += 1
+        self.decisions.append(Decision(now, thread.tid, "wait",
+                                       -1 if cid is None else cid, evicted))
+        return False
 
     def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> list[str]:
         """Free idle LRU entries on the cluster until the bundle would fit."""
@@ -606,7 +608,6 @@ class System:
         self.last_completion = 0
         self._tick_posted = False
         self._stall_ticks = 0
-        self._progress_sig = None
         self._dag_classes: dict[str, set[str]] = {}
         # Tile classes per cluster; the tiles are fixed for the whole run.
         self._cluster_classes = [{t.tile_class for t in c.tiles}
@@ -636,7 +637,7 @@ class System:
         self.threads[thread.tid] = thread
         self.machine.engine.post(Event(
             time=thread.arrival_time, kind=EventKind.THREAD_ARRIVAL,
-            thread=thread.tid, ctx=("arrival", thread)))
+            thread=thread.tid, ctx=thread))
 
     def run(self) -> None:
         self._post_tick(self.machine.config.sched_tick_cycles)
@@ -671,22 +672,17 @@ class System:
         return [t.tid for t in self.threads.values()
                 if t.status is not ThreadStatus.DONE]
 
-    def _check_progress(self, now: int) -> None:
+    def _check_progress(self) -> None:
         """Fail fast when live threads exist but nothing can ever advance.
 
-        Only loading and running tiles count as busy: a returning tile whose
-        retrieval is in flight keeps its cluster DMA busy, and one whose
-        retrieval stalled waits on scratchpad space, not on time.
+        The engine holds a posted event while anything is in flight: a
+        transfer, a running tile, an interrupt or an arrival (this tick is
+        already dispatched). A tick that leaves the queue empty changed
+        nothing that a later tick could act on differently; a stalled
+        retrieval waits on scratchpad space, not on time.
         """
-        busy = any(t.run_state in (RunState.LOADING, RunState.RUNNING)
-                   for t in self.machine.tiles.values())
-        busy = busy or self.machine.main_dma.busy_until > now
-        busy = busy or any(c.dma.busy_until > now for c in self.machine.clusters)
-        sig = (self.metrics.dispatched_tasks, len(self.finished_runs),
-               self.metrics.dma_bytes, len(self.main.pending))
-        if busy or sig != self._progress_sig:
+        if self.machine.engine.pending:
             self._stall_ticks = 0
-            self._progress_sig = sig
             return
         self._stall_ticks += 1
         if self._stall_ticks >= 10:
@@ -696,61 +692,43 @@ class System:
 
     def handle(self, event: Event) -> None:
         now = event.time
-        if event.kind is EventKind.THREAD_ARRIVAL:
-            _, thread = event.ctx
-            self.main.pending.append(thread)
+        kind, subject = event.kind, event.ctx
+        if kind is EventKind.THREAD_ARRIVAL:
+            self.main.pending.append(subject)
             self.main.evaluate(now)
-        elif event.kind is EventKind.SCHED_TICK:
+        elif kind is EventKind.SCHED_TICK:
             self._tick_posted = False
             self.main.evaluate(now)
             for sched in self.cluster_scheds:
                 sched.retry_stalled(now)
                 sched.scan(now)
             if self._live_tids():
-                self._check_progress(now)
+                self._check_progress()
                 self._post_tick(now + self.machine.config.sched_tick_cycles)
-        elif event.kind is EventKind.DMA_DONE:
+        elif kind is EventKind.DMA_DONE:
             self.metrics.dma_bytes += event.nbytes
-            tag = event.ctx[0]
-            if tag == "thread_payload":
-                run: ThreadRun = event.ctx[1]
-                run.thread.advance(ThreadStatus.RUNNING)
-                sched = self.cluster_scheds[run.cluster_id]
-                sched.admit_instance(run)
-                if run.instance.is_complete():  # degenerate zero-task dag
-                    sched.finish_thread(run, now)
+            if isinstance(subject, ThreadRun):  # the thread's bundle
+                subject.thread.advance(ThreadStatus.RUNNING)
+                sched = self.cluster_scheds[subject.cluster_id]
+                sched.admit_instance(subject)
+                if subject.instance.is_complete():  # degenerate zero-task dag
+                    sched.finish_thread(subject, now)
                 else:
                     sched.scan(now)
-            elif tag == "deploy":
-                task_run: TaskRun = event.ctx[1]
-                started = self.machine.finish_deploy(task_run.tile)
-                task_run.run.instance.set_state(task_run.task_id, TaskState.RUNNING)
-                self.machine.engine.post(Event(
-                    time=started + task_run.cycles, kind=EventKind.TILE_DONE,
-                    cluster=task_run.run.cluster_id, tile=task_run.tile.tile_id,
-                    thread=task_run.run.thread.tid, task=task_run.task_id,
-                    ctx=("tile_done", task_run)))
-            elif tag == "retrieval":
-                task_run = event.ctx[1]
-                self.cluster_scheds[task_run.run.cluster_id].complete_task(
-                    task_run, now)
-            else:
-                raise RuntimeError(f"unknown DMA context {tag!r}")
-        elif event.kind is EventKind.TILE_DONE:
-            task_run = event.ctx[1]
-            returns = len(task_run.result.returned_tokens())
-            if task_run.result.scalar_return is not None:
+            elif subject.tile.run_state is RunState.LOADING:  # the deploy
+                self.machine.finish_deploy(subject.tile)
+                subject.run.instance.set_state(subject.task_id, TaskState.RUNNING)
+            else:  # the retrieval
+                self.cluster_scheds[subject.run.cluster_id].complete_task(
+                    subject, now)
+        elif kind is EventKind.TILE_DONE:
+            returns = len(subject.result.returned_tokens())
+            if subject.result.scalar_return is not None:
                 returns += 1
-            interrupt_time = self.machine.tile_finish(task_run.tile, returns)
-            self.machine.engine.post(Event(
-                time=interrupt_time, kind=EventKind.INTERRUPT,
-                cluster=task_run.run.cluster_id, tile=task_run.tile.tile_id,
-                thread=task_run.run.thread.tid, task=task_run.task_id,
-                ctx=("interrupt", task_run)))
-        elif event.kind is EventKind.INTERRUPT:
-            task_run = event.ctx[1]
-            self.cluster_scheds[task_run.run.cluster_id].start_retrieval(
-                task_run, now)
+            self.machine.tile_finish(subject.tile, returns)
+        elif kind is EventKind.INTERRUPT:
+            self.cluster_scheds[subject.run.cluster_id].start_retrieval(
+                subject, now)
         else:
             raise RuntimeError(f"unhandled event kind {event.kind}")
         self.machine.check_invariants()

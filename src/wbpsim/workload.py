@@ -73,6 +73,8 @@ class LinkConfig:
     def __post_init__(self):
         if not 0 <= self.users_per_slot <= MAX_USERS:
             raise ValueError(f"users_per_slot must be in 0..{MAX_USERS}")
+        if self.bp_iters < 1:
+            raise ValueError("bp_iters must be >= 1")
         if self.rate_match_e < 2 or self.rate_match_e % 2:
             raise ValueError("rate_match_e must be even and positive")
         if (self.rate_match_e // 2) % self.ofdm.n_subcarriers:

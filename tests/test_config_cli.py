@@ -9,8 +9,8 @@ import sys
 import pytest
 
 import wbpsim
-from wbpsim.cli import (ABLATION_CSV_HEADER, RUN_CSV_HEADER, emit_csv, main,
-                        sweep_mix)
+from wbpsim.cli import (ABLATION_CSV_HEADER, RUN_CSV_HEADER, emit_csv, execute,
+                        main, sweep_mix)
 from wbpsim.config import (ConfigError, apply_overrides, parse_config,
                            render_config, with_system)
 
@@ -266,6 +266,40 @@ def test_cmd_run_stall_exits_3_and_names_stuck_threads(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "stalled: scheduler made no progress for 10 ticks; "
         "stuck threads [0, 1, 2, 3, 4, 5, 6, 7]\n")
+
+
+def test_idle_gap_between_arrivals_is_not_a_stall():
+    # Each slot's work ends more than 10 ticks before the next arrival; the
+    # queued arrival keeps the run busy through the gap.
+    setup = parse_config(
+        "[system]\nclusters = 1\ntiles_per_cluster = 4\ntile_mix = L,L,S,S\n"
+        "[link]\nusers_per_slot = 1\n"
+        "[tdd]\npattern = D\nslot_cycles = 200000\n"
+        "[run]\nn_slots = 3\n")
+    report = execute(setup)
+    assert report.threads_completed == 3 and report.fidelity_failures == 0
+
+
+def downlink_users(users, n_slots):
+    """MINIMAL with ``users`` per slot under pattern UD (slot 1 is downlink)."""
+    return MINIMAL.replace("users_per_slot = 2", f"users_per_slot = {users}") \
+        .replace("[tdd]\n", "[tdd]\npattern = UD\n") \
+        .replace("n_slots = 2", f"n_slots = {n_slots}")
+
+
+@pytest.mark.parametrize("text,key", [
+    (MINIMAL.replace("bp_iters = 8", "bp_iters = 0"), "bp_iters"),
+    (downlink_users(0, n_slots=2), "users_per_slot"),
+], ids=["bp_iters", "users_per_slot"])
+def test_cmd_run_bad_link_value_is_config_error(tmp_path, capsys, text, key):
+    assert main(["run", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert err.count("\n") == 1
+
+
+def test_cmd_run_uplink_only_zero_users_still_runs(tmp_path):
+    assert main(["run", write_config(tmp_path, downlink_users(0, n_slots=1))]) == 0
 
 
 def test_cmd_run_dump_dags(tmp_path):

@@ -275,7 +275,7 @@ def test_deploy_latency_arithmetic():
     machine = small_machine()
     cluster = machine.clusters[0]
     tile = cluster.tiles[0]
-    event = machine.begin_deploy(cluster, tile, 600, 400, now=0, ctx=None)
+    event = machine.begin_deploy(cluster, tile, 600, 400, 100, now=0, ctx=None)
     assert event.time == 4 + 83
     assert tile.run_state is RunState.LOADING and tile.port is PortDirection.BUS
     machine.engine.run_until(event.time, lambda e: None)
@@ -290,7 +290,7 @@ def test_deploy_zero_bytes_latency():
     machine = small_machine()
     cluster = machine.clusters[0]
     tile = cluster.tiles[0]
-    event = machine.begin_deploy(cluster, tile, 0, 0, now=0, ctx=None)
+    event = machine.begin_deploy(cluster, tile, 0, 0, 100, now=0, ctx=None)
     machine.engine.run_until(event.time, lambda e: None)
     assert machine.finish_deploy(tile) == 3 * 4 + 20
 
@@ -300,44 +300,92 @@ def test_deploy_oversized_payload_fails_tile_stays_idle():
     cluster = machine.clusters[0]
     tile = cluster.tiles[0]
     with pytest.raises(AllocationFailure):
-        machine.begin_deploy(cluster, tile, 400, 200, now=0, ctx=None)
+        machine.begin_deploy(cluster, tile, 400, 200, 100, now=0, ctx=None)
     assert tile.run_state is RunState.IDLE
-
-
-def test_deploy_busy_tile_rejected():
-    machine = small_machine()
-    cluster = machine.clusters[0]
-    tile = cluster.tiles[0]
-    machine.begin_deploy(cluster, tile, 8, 8, now=0, ctx=None)
-    with pytest.raises(ProtocolViolation):
-        machine.begin_deploy(cluster, tile, 8, 8, now=0, ctx=None)
 
 
 def test_completion_protocol_and_interrupt_time():
+    # Every event of a tile job copies the deploy event's cluster, tile,
+    # thread, task and ctx; RUNNING spans from reset release to TILE_DONE.
     machine = small_machine()
     cluster = machine.clusters[0]
-    tile = cluster.tiles[0]
-    done = machine.begin_deploy(cluster, tile, 16, 16, now=0, ctx=None)
-    machine.engine.run_until(done.time, lambda e: None)
-    machine.finish_deploy(tile)
-    machine.engine.run_until(500, lambda e: None)
+    tile = cluster.tiles[1]
+    subject = object()
+    posted = []
+    deploy = machine.begin_deploy(cluster, tile, 16, 16, 300, now=0,
+                                  ctx=subject, thread=7, task="t")
+    machine.engine.run_until(deploy.time, posted.append)
+    start = machine.finish_deploy(tile)
+    assert (tile.run_state, tile.since) == (RunState.RUNNING, start)
+    machine.engine.run_until(start + 300, posted.append)
+    assert [e.kind for e in posted] == [EventKind.DMA_DONE, EventKind.TILE_DONE]
+    assert posted[1].time == start + 300
     interrupt_time = machine.tile_finish(tile, return_count=2)
-    assert interrupt_time == 500 + 4
+    assert interrupt_time == start + 300 + 4
     assert tile.return_value_count == 2
     assert tile.run_state is RunState.RETURNING and tile.port is PortDirection.BUS
-    event = machine.begin_retrieval(cluster, tile, 320, interrupt_time, ctx=None)
-    assert event.time >= interrupt_time + 20 + 20
-    machine.engine.run_until(event.time, lambda e: None)
+    assert tile.busy_cycles == 300
+    machine.engine.run_until(interrupt_time, posted.append)
+    assert posted[2].kind is EventKind.INTERRUPT
+    assert posted[2].time == interrupt_time
+    event = machine.begin_retrieval(cluster, tile, 320, interrupt_time)
+    assert event.time == interrupt_time + 20 + 20
+    machine.engine.run_until(event.time, posted.append)
+    assert posted[3] is event and event.kind is EventKind.DMA_DONE
+    assert [e.nbytes for e in posted] == [32, 0, 0, 320]
+    for e in posted:
+        assert (e.cluster, e.tile, e.thread, e.task) == (0, tile.tile_id, 7, "t")
+        assert e.ctx is subject
     machine.release_tile(tile, event.time)
     assert tile.run_state is RunState.IDLE
-    assert tile.last_finish == event.time
+    assert tile.since == event.time
+    assert tile.busy_cycles == 300
+    assert machine.engine.pending == 0
 
 
-def test_tile_finish_requires_running():
-    machine = small_machine()
-    tile = machine.clusters[0].tiles[0]
-    with pytest.raises(ProtocolViolation):
-        machine.tile_finish(tile, 1)
+# Each protocol step and the state it needs; the step moves the tile to the
+# next state in IDLE -> LOADING -> RUNNING -> RETURNING -> IDLE.
+PROTOCOL_STEPS = {
+    "begin_deploy": (RunState.IDLE, lambda m, c, t: m.begin_deploy(
+        c, t, 8, 8, 100, now=m.engine.now, ctx=None)),
+    "finish_deploy": (RunState.LOADING, lambda m, c, t: m.finish_deploy(t)),
+    "tile_finish": (RunState.RUNNING, lambda m, c, t: m.tile_finish(t, 1)),
+    "release_tile": (RunState.RETURNING,
+                     lambda m, c, t: m.release_tile(t, m.engine.now)),
+}
+STATES = list(RunState)
+ILLEGAL_STEPS = [(step, state) for step, (needs, _) in PROTOCOL_STEPS.items()
+                 for state in STATES if state is not needs]
+
+
+def tile_in(state, strict):
+    """A machine whose first tile reached ``state`` through the protocol."""
+    machine = small_machine(strict=strict)
+    cluster = machine.clusters[0]
+    tile = cluster.tiles[0]
+    for _, step in list(PROTOCOL_STEPS.values())[:STATES.index(state)]:
+        step(machine, cluster, tile)
+    assert tile.run_state is state and machine.violations == 0
+    return machine, cluster, tile
+
+
+@pytest.mark.parametrize("step,state", ILLEGAL_STEPS,
+                         ids=[f"{s}-{t.value}" for s, t in ILLEGAL_STEPS])
+def test_illegal_protocol_step_names_both_states(step, state):
+    needs, call = PROTOCOL_STEPS[step]
+    target = STATES[(STATES.index(needs) + 1) % len(STATES)]
+    message = f"tile 0: {state.value} -> {target.value}"
+
+    machine, cluster, tile = tile_in(state, strict=True)
+    with pytest.raises(ProtocolViolation) as raised:
+        call(machine, cluster, tile)
+    assert str(raised.value) == message
+    assert tile.run_state is state
+
+    machine, cluster, tile = tile_in(state, strict=False)
+    call(machine, cluster, tile)
+    assert machine.violation_messages[0] == message
+    assert tile.run_state is target
 
 
 def test_main_transfer_single_csr_cost():

@@ -142,8 +142,9 @@ def test_fit_queries_never_allocate(monkeypatch):
 
 
 def test_eviction_that_leaves_inputs_unfit_waits_without_leaks():
-    # Path (c): the LRU dag is evicted to make code room, but the inputs
-    # still find no data room, so the thread waits and reserves nothing.
+    # Path (c): the LRU dag could be evicted to make code room, but the
+    # inputs find no data room, so the thread waits, evicts nothing and
+    # reserves nothing.
     system = build_system(config=small_config(clusters=1))
     dag_a = one_task_dag(tag="a")
     dag_b = one_task_dag(tag="b")
@@ -157,13 +158,12 @@ def test_eviction_that_leaves_inputs_unfit_waits_without_leaks():
     system.threads[0] = t
     system.main.pending.append(t)
     system.main.evaluate(0)
-    assert system.main.decisions == [
-        Decision(0, 0, "wait", 0, (dag_a.dag_id,))]
+    assert system.main.decisions == [Decision(0, 0, "wait", 0, ())]
     assert system.metrics.backpressure_events == 1
-    assert system.metrics.evictions == 1
+    assert system.metrics.evictions == 0
     assert system.main.pending == [t]
-    assert system.main.table.entries == {}
-    assert sections["TASK_CODE_POOL"].allocations == {}
+    entry = system.main.table.entries[(dag_a.dag_id, 0)]
+    assert list(sections["TASK_CODE_POOL"].allocations) == [entry.code_region]
     assert sections["FIFO_LISTS"].allocations == {}
     assert list(compute.allocations) == [filler]
     assert system.machine.clusters[0].active_threads == set()
@@ -456,7 +456,7 @@ def test_select_tile_attribute_filter_and_rotation():
     assert sched.select_tile("LARGE") is large
     assert sched.select_tile("SMALL") is small
     assert sched.select_tile("ANY") is large  # never used, lowest id wins
-    large.last_finish = 100
+    large.since = 100
     assert sched.select_tile("ANY") is small  # least recently finished
     large.run_state = large.run_state.__class__.RUNNING
     assert sched.select_tile("LARGE") is None
@@ -491,6 +491,28 @@ def test_scan_dispatches_at_most_available_tiles():
     system.run()
     assert system.metrics.dispatched_tasks == 2
     assert all(t.status is ThreadStatus.DONE for t in system.threads.values())
+
+
+def test_busy_cycles_sum_the_cost_of_each_task_a_tile_ran(monkeypatch):
+    charged = {}
+    original = System.cost_of
+
+    def cost_of(self, result, tile):
+        cycles = original(self, result, tile)
+        charged[tile.tile_id] = charged.get(tile.tile_id, 0) + cycles
+        return cycles
+
+    monkeypatch.setattr(System, "cost_of", cost_of)
+    # L and S tiles charge the same task differently (lane scaling).
+    system = build_system(config=small_config(clusters=2, tile_mix=("L", "S")))
+    dag = linear_dag(3, code_bytes=1000)
+    for tid in range(4):
+        system.submit(thread(tid, dag, arrival=300 * tid))
+    system.run()
+    assert system.metrics.dispatched_tasks == 12
+    assert len(set(charged.values())) > 1
+    assert {t.tile_id: t.busy_cycles for t in system.machine.tiles.values()} == \
+        {tid: charged.get(tid, 0) for tid in system.machine.tiles}
 
 
 def test_scan_empty_when_nothing_ready():
