@@ -677,9 +677,9 @@ class System:
 
         The engine holds a posted event while anything is in flight: a
         transfer, a running tile, an interrupt or an arrival (this tick is
-        already dispatched). A tick that leaves the queue empty changed
-        nothing that a later tick could act on differently; a stalled
-        retrieval waits on scratchpad space, not on time.
+        already dispatched). A tick that leaves the queue empty posted
+        nothing, so every later tick finds the same state and does the same
+        nothing; a stalled retrieval waits on scratchpad space, not on time.
         """
         if self.machine.engine.pending:
             self._stall_ticks = 0
