@@ -20,6 +20,7 @@ from .costmodel import (CostModel, InsufficientAnchorsError, fit_scaling,
                         load_anchor_file)
 from .dag import dump_dag
 from .machine import PortDirection, ProtocolViolation, SimulationStalled
+from .scheduler import UncoveredDag
 from .workload import ThroughputReport, build_rx_dag, build_tx_dag, run_experiment
 
 RUN_CSV_HEADER = [
@@ -90,11 +91,14 @@ def _cost_model(setup: RunSetup) -> CostModel:
 
 def execute(setup: RunSetup, trace_path: str | None = None,
             fault_hook=None) -> ThroughputReport:
-    return run_experiment(
-        setup.machine, setup.link, setup.pattern, setup.n_slots, setup.seed,
-        multithreading=setup.multithreading, lazy_deletion=setup.lazy_deletion,
-        cost_model=_cost_model(setup), trace_path=trace_path,
-        fault_hook=fault_hook)
+    try:
+        return run_experiment(
+            setup.machine, setup.link, setup.pattern, setup.n_slots, setup.seed,
+            multithreading=setup.multithreading, lazy_deletion=setup.lazy_deletion,
+            cost_model=_cost_model(setup), trace_path=trace_path,
+            fault_hook=fault_hook)
+    except UncoveredDag as exc:
+        raise ConfigError(f"tile_mix {','.join(setup.machine.tile_mix)}: {exc}") from None
 
 
 def echo_config(setup: RunSetup, out=None) -> None:

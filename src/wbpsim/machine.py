@@ -163,7 +163,9 @@ class SpmSection:
     re-sorting. Live spans never share an offset.
 
     A section changes only through ``alloc`` and ``free_region``, and only
-    for real reservations; ``would_fit`` changes nothing.
+    for real reservations; ``would_fit`` changes nothing. Both set
+    ``changed``, which ``Machine.check_invariants`` reads to run ``check``
+    only on the sections an event changed, and clears once ``check`` passes.
     """
 
     def __init__(self, name: str, capacity: int):
@@ -175,14 +177,11 @@ class SpmSection:
         self._spans: list[tuple[int, int]] = []
         self._span_regions: list[int] = []
         self._next_region = 0
+        self.changed = True  # not checked since the last change
 
     @property
     def used(self) -> int:
         return sum(size for _, size in self.allocations.values())
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self.used
 
     def _first_fit(self, spans: list[tuple[int, int]], nbytes: int) -> int | None:
         """Lowest offset of a hole of ``nbytes`` between ``spans``, or None."""
@@ -220,6 +219,7 @@ class SpmSection:
         index = bisect_left(self._spans, span)
         self._spans.insert(index, span)
         self._span_regions.insert(index, region)
+        self.changed = True
         return region
 
     def free_region(self, region: int) -> None:
@@ -228,6 +228,7 @@ class SpmSection:
         index = bisect_left(self._spans, self.allocations.pop(region))
         del self._spans[index]
         del self._span_regions[index]
+        self.changed = True
 
     def offset_of(self, region: int) -> int:
         return self.allocations[region][0]
@@ -484,11 +485,22 @@ class Machine:
             thread=thread, nbytes=nbytes, ctx=ctx))
 
     def check_invariants(self) -> None:
+        """Check the machine after an event.
+
+        Every event: each cluster's thread limit and each busy tile's port.
+        Only sections an event changed: the allocator ``check``. A section
+        changes only through ``alloc`` and ``free_region``, which set its
+        ``changed`` flag, so a section with a clear flag still holds the
+        state that passed its last check. The flag is cleared only after
+        the check passes, so a failed check leaves it set.
+        """
         idle, running = RunState.IDLE, RunState.RUNNING
         core, bus = PortDirection.CORE, PortDirection.BUS
         for cluster in self.clusters:
             for section in cluster.sections.values():
-                section.check()
+                if section.changed:
+                    section.check()
+                    section.changed = False
             if len(cluster.active_threads) > cluster.max_threads:
                 raise RuntimeError(f"cluster {cluster.cluster_id} over thread limit")
             for tile in cluster.tiles:

@@ -20,6 +20,13 @@ tasks, taken when the scan starts. That equals the walk's count, because a
 dispatch only pops the dispatched task's inputs and so changes no other
 task's readiness during the scan.
 
+A placement needs a free thread slot on its cluster: the residency hit and
+the admission query ask ``slot_free``, and the LRU path evicts only on a
+cluster with a free slot. So while no cluster has a free slot, a pending
+thread waits without a try: one backpressure event and one "wait" decision
+with cluster -1, as the full try records. A failed try frees no slot, so
+this cannot change a later try.
+
 A scratchpad section changes only through ``alloc`` and ``free_region``,
 on real reservations. Every fit query is pure: a placement, a dispatch and a
 retrieval each ask ``would_fit`` for everything they will reserve, then
@@ -56,6 +63,10 @@ LOAD_INDICATION_BYTES = 16
 def _fifo_bytes(dag: Dag) -> int:
     """FIFO_LISTS bytes of one thread of ``dag``: a record per edge."""
     return max(1, len(dag.edges) * FIFO_RECORD_BYTES)
+
+
+class UncoveredDag(ValueError):
+    """A submitted thread's dag needs a tile class that no cluster has."""
 
 
 class ThreadStatus(enum.Enum):
@@ -517,6 +528,12 @@ class MainScheduler:
 
     def _try_place(self, thread: ThreadDescriptor, now: int,
                    decision_time: int) -> bool:
+        # No free thread slot anywhere: every path below needs one, so the
+        # thread waits exactly as the full try would conclude (cluster -1).
+        if not any(sched.slot_free() for sched in self.system.cluster_scheds):
+            self.system.metrics.backpressure_events += 1
+            self.decisions.append(Decision(now, thread.tid, "wait"))
+            return False
         # (a) residency hit: ship data only. Here and below, _place reserves
         # what _bundle_fits found room for, so it cannot fail.
         cid = self.code_deployed(thread)
@@ -631,9 +648,10 @@ class System:
             raise ValueError(f"duplicate thread id {thread.tid}")
         if not any(self.cluster_covers(c.cluster_id, thread.dag)
                    for c in self.machine.clusters):
-            needed = sorted(self._needed_classes(thread.dag))
-            raise ValueError(
-                f"no cluster provides tile classes {needed} required by the dag")
+            missing = sorted(self._needed_classes(thread.dag)
+                             - set().union(*self._cluster_classes))
+            raise UncoveredDag(f"no cluster has tile class {missing}, which "
+                               f"the dag of thread {thread.tid} requires")
         self.threads[thread.tid] = thread
         self.machine.engine.post(Event(
             time=thread.arrival_time, kind=EventKind.THREAD_ARRIVAL,

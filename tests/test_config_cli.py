@@ -392,6 +392,26 @@ def test_cmd_sweep_bad_worker_count_is_config_error(tmp_path, monkeypatch,
         "config error: WBPSIM_WORKERS must be an integer, got 'x'\n"
 
 
+def test_cmd_run_tile_mix_lacking_a_dag_class_is_config_error(tmp_path, capsys):
+    text = MINIMAL.replace("tile_mix = L,S", "tile_mix = S,S")
+    assert main(["run", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tile_mix S,S: no cluster has tile class ['L'], "
+        "which the dag of thread 0 requires\n")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cmd_sweep_single_tile_point_is_config_error(tmp_path, monkeypatch,
+                                                     capsys, workers):
+    # sweep_mix(1) is ("L",), and the link dags also need an S tile; the
+    # error crosses the worker pool as the same one line.
+    monkeypatch.setenv("WBPSIM_WORKERS", workers)
+    assert main(["sweep", write_config(tmp_path), "--grid", "1x2,1x1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tile_mix L: no cluster has tile class ['S'], "
+        "which the dag of thread 0 requires\n")
+
+
 def test_cmd_calibrate_malformed_anchor_file_is_config_error(tmp_path, capsys):
     path = tmp_path / "anchors.txt"
     path.write_text("fft,64,100,16\nfft,128,lots,16\n")

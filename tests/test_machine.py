@@ -403,3 +403,51 @@ def test_check_invariants_catches_corruption():
     tile.port = PortDirection.BUS
     with pytest.raises(RuntimeError):
         machine.check_invariants()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["alloc", "free", "query", "check"]),
+                          st.integers(0, 7), st.integers(1, 600)),
+                max_size=60))
+@example([("alloc", 3, 100), ("check", 0, 1), ("free", 3, 1)])
+def test_check_invariants_walks_only_changed_sections(ops):
+    # The scoped check rests on this: only alloc and free_region change a
+    # section and both set its flag, so a clear flag means the section is
+    # as its last check left it.
+    small = {"TASK_CODE_POOL": 2048, "FIFO_LISTS": 512,
+             "LOAD_INDICATION": 256, "COMPUTE_DATA": 4096}
+    machine = Machine(MachineConfig(clusters=2, section_bytes=small))
+    sections = [s for c in machine.clusters for s in c.sections.values()]
+    live = {s.name: [] for s in sections}
+    machine.check_invariants()
+    checked = {s.name: allocator_state(s) for s in sections}
+    for op, index, size in ops:
+        section = sections[index]
+        if op == "alloc" and section.would_fit(size):
+            live[section.name].append(section.alloc(size))
+        elif op == "free" and live[section.name]:
+            regions = live[section.name]
+            section.free_region(regions.pop(size % len(regions)))
+        elif op == "query":
+            section.would_fit(size, size)
+        elif op == "check":
+            machine.check_invariants()
+            assert not any(s.changed for s in sections)
+            checked = {s.name: allocator_state(s) for s in sections}
+        for s in sections:
+            if not s.changed:
+                assert allocator_state(s) == checked[s.name]
+
+
+def test_scoped_check_catches_corruption_once_the_section_changes():
+    machine = small_machine()
+    section = machine.clusters[0].sections["COMPUTE_DATA"]
+    machine.check_invariants()
+    section.allocations[99] = (0, 16)  # a region the span index lacks
+    section.alloc(32)
+    with pytest.raises(RuntimeError, match="c0.COMPUTE_DATA: span index"):
+        machine.check_invariants()
+    # A failed check leaves the flag set, so the next check fails too.
+    assert section.changed
+    with pytest.raises(RuntimeError, match="c0.COMPUTE_DATA: span index"):
+        machine.check_invariants()

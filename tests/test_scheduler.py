@@ -11,8 +11,9 @@ from wbpsim.costmodel import CostModel, CostParams
 from wbpsim.dag import Dag, TaskSpec, Token
 from wbpsim.machine import Machine, MachineConfig, SimulationStalled, SpmSection
 from wbpsim.scheduler import (ClusterScheduler, Decision, DeploymentTable,
-                              System, TableEntry, ThreadDescriptor,
-                              ThreadStatus, mem_pack, mem_unpack)
+                              MainScheduler, System, TableEntry,
+                              ThreadDescriptor, ThreadStatus, mem_pack,
+                              mem_unpack)
 
 # One law so synthetic task cost is predictable; ref lanes match the L tile
 # so no lane scaling applies.
@@ -518,3 +519,47 @@ def test_busy_cycles_sum_the_cost_of_each_task_a_tile_ran(monkeypatch):
 def test_scan_empty_when_nothing_ready():
     system = two_class_system()
     assert system.cluster_scheds[0].scan(0) == []
+
+
+def test_no_free_slot_waits_without_a_fit_query(monkeypatch):
+    # Every placement path needs a free thread slot, so while no cluster has
+    # one a pending thread waits as a full try would, without asking any
+    # section for room.
+    system = build_system()
+    clusters = system.machine.clusters
+    for cluster in clusters:
+        cluster.active_threads.update(
+            100 + 10 * cluster.cluster_id + i for i in range(cluster.max_threads))
+    dag = one_task_dag()
+    threads = [thread(tid, dag) for tid in range(4)]
+    system.main.pending.extend(threads)
+    queries, tries = [], []
+    would_fit = SpmSection.would_fit
+    code_deployed = MainScheduler.code_deployed
+
+    def counted_fit(self, *sizes):
+        queries.append(self.name)
+        return would_fit(self, *sizes)
+
+    def counted_try(self, probe):  # path (a), the first of every full try
+        tries.append(probe.tid)
+        return code_deployed(self, probe)
+
+    monkeypatch.setattr(SpmSection, "would_fit", counted_fit)
+    monkeypatch.setattr(MainScheduler, "code_deployed", counted_try)
+    system.main.evaluate(7)
+    assert system.main.decisions == [Decision(7, tid, "wait", -1, ())
+                                     for tid in range(4)]
+    assert system.metrics.backpressure_events == 4
+    assert queries == [] and tries == []
+    assert system.main.pending == threads
+
+    # One free slot: the first thread takes it and the rest wait as before.
+    clusters[1].active_threads.remove(110)
+    system.main.evaluate(9)
+    assert system.main.decisions[4:] == [Decision(9, 0, "admit", 1)] + [
+        Decision(9, tid, "wait", -1, ()) for tid in (1, 2, 3)]
+    assert system.metrics.backpressure_events == 7
+    assert tries == [0]
+    assert system.main.pending == threads[1:]
+    assert 0 in clusters[1].active_threads
