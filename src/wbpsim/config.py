@@ -43,6 +43,10 @@ def _parse_snr(text: str) -> float | None:
 # [run] keys other than strict, so those are written here.
 _MACHINE, _COST, _OFDM, _TDD = MachineConfig(), CostParams(), OfdmConfig(), TddPattern()
 _LINK = {f.name: f.default for f in dataclasses.fields(LinkConfig)}
+# Config key of each scratchpad section's size.
+_SECTION_KEYS = {"TASK_CODE_POOL": "code_pool_bytes", "FIFO_LISTS": "fifo_bytes",
+                 "LOAD_INDICATION": "load_indication_bytes",
+                 "COMPUTE_DATA": "compute_bytes"}
 
 # (section, key) -> (converter, default)
 _SCHEMA: dict[tuple[str, str], tuple] = {
@@ -50,10 +54,8 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("system", "tiles_per_cluster"): (int, len(_MACHINE.tile_mix)),
     ("system", "tile_mix"): (str, ",".join(_MACHINE.tile_mix)),
     ("system", "tspm_bytes"): (int, _MACHINE.tspm_bytes),
-    ("system", "code_pool_bytes"): (int, _MACHINE.section_bytes["TASK_CODE_POOL"]),
-    ("system", "fifo_bytes"): (int, _MACHINE.section_bytes["FIFO_LISTS"]),
-    ("system", "load_indication_bytes"): (int, _MACHINE.section_bytes["LOAD_INDICATION"]),
-    ("system", "compute_bytes"): (int, _MACHINE.section_bytes["COMPUTE_DATA"]),
+    **{("system", key): (int, _MACHINE.section_bytes[name])
+       for name, key in _SECTION_KEYS.items()},
     ("system", "max_threads"): (int, _MACHINE.max_threads),
     ("system", "clock_mhz"): (float, _MACHINE.clock_hz / 1e6),
     ("link", "polar_n"): (int, 512),
@@ -113,19 +115,15 @@ def _build_setup(values: dict[tuple[str, str], object]) -> RunSetup:
         if not cond:
             raise ConfigError(f"{key}: {message}")
 
-    clusters = get("system", "clusters")
-    invariant(clusters >= 1, "clusters", "must be >= 1")
+    # Checks that MachineConfig, LinkConfig and CostParams do not make; their
+    # own errors are mapped to config keys where they are built, below.
     tiles = get("system", "tiles_per_cluster")
     invariant(tiles >= 1, "tiles_per_cluster", "must be >= 1")
     mix = tuple(p.strip().upper() for p in str(get("system", "tile_mix")).split(",")
                 if p.strip())
     invariant(len(mix) == tiles, "tile_mix",
               f"must list exactly {tiles} tile classes")
-    invariant(all(c in ("L", "S") for c in mix), "tile_mix",
-              "entries must be L or S")
-    for key in ("tspm_bytes", "code_pool_bytes", "fifo_bytes",
-                "load_indication_bytes", "compute_bytes"):
-        invariant(get("system", key) > 0, key, "must be positive")
+    invariant(get("system", "tspm_bytes") > 0, "tspm_bytes", "must be positive")
     invariant(get("system", "max_threads") >= 1, "max_threads", "must be >= 1")
     invariant(get("system", "clock_mhz") > 0, "clock_mhz", "must be positive")
 
@@ -134,52 +132,53 @@ def _build_setup(values: dict[tuple[str, str], object]) -> RunSetup:
     invariant(n >= 2 and n & (n - 1) == 0, "polar_n", "must be a power of two")
     invariant(0 < k <= n, "polar_k", "must be in 1..polar_n")
     try:
-        polar = PolarCode.design(n, k)
-        ofdm = OfdmConfig(n_subcarriers=get("link", "subcarriers"),
-                          cp_len=get("link", "cp_len"))
-        link = LinkConfig(polar=polar, rate_match_e=get("link", "rate_match_e"),
-                          c_init=get("link", "c_init"), ofdm=ofdm,
-                          bp_iters=get("link", "bp_iters"),
-                          users_per_slot=get("link", "users_per_slot"),
-                          snr_db=get("link", "snr_db"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
         pattern = TddPattern.parse(get("tdd", "pattern"), get("tdd", "slot_cycles"))
     except ValueError as exc:
         raise ConfigError(f"pattern: {exc}") from None
 
     invariant(get("run", "n_slots") >= 1, "n_slots", "must be >= 1")
-    invariant(link.users_per_slot >= 1 or "D" not in pattern.slots[:get("run", "n_slots")],
+    invariant(get("link", "users_per_slot") >= 1
+              or "D" not in pattern.slots[:get("run", "n_slots")],
               "users_per_slot", "must be >= 1 when a downlink slot runs")
     for key in ("dma_setup_cycles", "dma_bytes_per_cycle", "csr_write_cycles",
                 "thread_eval_cycles", "scan_visit_cycles", "sched_tick_cycles"):
         invariant(get("cost", key) > 0, key, "must be positive")
-    sf = get("cost", "serial_fraction")
-    invariant(0.0 <= sf <= 1.0, "serial_fraction", "must lie in [0, 1]")
     invariant(get("cost", "ref_lanes") >= 1, "ref_lanes", "must be >= 1")
 
-    machine = MachineConfig(
-        clusters=clusters,
-        tile_mix=mix,
-        tspm_bytes=get("system", "tspm_bytes"),
-        section_bytes={
-            "TASK_CODE_POOL": get("system", "code_pool_bytes"),
-            "FIFO_LISTS": get("system", "fifo_bytes"),
-            "LOAD_INDICATION": get("system", "load_indication_bytes"),
-            "COMPUTE_DATA": get("system", "compute_bytes"),
-        },
-        dma=DmaTiming(setup_cycles=get("cost", "dma_setup_cycles"),
-                      bytes_per_cycle=get("cost", "dma_bytes_per_cycle"),
-                      csr_write_cycles=get("cost", "csr_write_cycles")),
-        max_threads=get("system", "max_threads"),
-        clock_hz=get("system", "clock_mhz") * 1e6,
-        thread_eval_cycles=get("cost", "thread_eval_cycles"),
-        scan_visit_cycles=get("cost", "scan_visit_cycles"),
-        sched_tick_cycles=get("cost", "sched_tick_cycles"),
-        strict=get("run", "strict"),
-    )
-    cost_params = CostParams(serial_fraction=sf, ref_lanes=get("cost", "ref_lanes"))
+    try:
+        ofdm = OfdmConfig(n_subcarriers=get("link", "subcarriers"),
+                          cp_len=get("link", "cp_len"))
+        link = LinkConfig(polar=PolarCode.design(n, k),
+                          rate_match_e=get("link", "rate_match_e"),
+                          c_init=get("link", "c_init"), ofdm=ofdm,
+                          bp_iters=get("link", "bp_iters"),
+                          users_per_slot=get("link", "users_per_slot"),
+                          snr_db=get("link", "snr_db"))
+        machine = MachineConfig(
+            clusters=get("system", "clusters"),
+            tile_mix=mix,
+            tspm_bytes=get("system", "tspm_bytes"),
+            section_bytes={name: get("system", key)
+                           for name, key in _SECTION_KEYS.items()},
+            dma=DmaTiming(setup_cycles=get("cost", "dma_setup_cycles"),
+                          bytes_per_cycle=get("cost", "dma_bytes_per_cycle"),
+                          csr_write_cycles=get("cost", "csr_write_cycles")),
+            max_threads=get("system", "max_threads"),
+            clock_hz=get("system", "clock_mhz") * 1e6,
+            thread_eval_cycles=get("cost", "thread_eval_cycles"),
+            scan_visit_cycles=get("cost", "scan_visit_cycles"),
+            sched_tick_cycles=get("cost", "sched_tick_cycles"),
+            strict=get("run", "strict"),
+        )
+        cost_params = CostParams(serial_fraction=get("cost", "serial_fraction"),
+                                 ref_lanes=get("cost", "ref_lanes"))
+    except ValueError as exc:
+        # MachineConfig, LinkConfig and CostParams start each message with
+        # the field at fault, which is its config key, or a section's name.
+        field, _, message = str(exc).partition(": ")
+        if field in _SECTION_KEYS:
+            raise ConfigError(f"{_SECTION_KEYS[field]}: {message}") from None
+        raise ConfigError(str(exc)) from None
     return RunSetup(
         machine=machine, link=link, pattern=pattern,
         n_slots=get("run", "n_slots"), seed=get("run", "seed"),
@@ -215,12 +214,7 @@ def parse_config(text: str) -> RunSetup:
             values[(section, key)] = converter(value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    try:
-        return _build_setup(values)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _build_setup(values)
 
 
 def load_config(path) -> RunSetup:

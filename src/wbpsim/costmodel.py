@@ -97,7 +97,7 @@ class CostParams:
 
     def __post_init__(self):
         if not 0.0 <= self.serial_fraction <= 1.0:
-            raise ValueError("serial fraction must lie in [0, 1]")
+            raise ValueError("serial_fraction: must lie in [0, 1]")
 
 
 def dma_cycles(nbytes: int, timing: DmaTiming) -> int:

@@ -272,7 +272,13 @@ class DagInstance:
       fire once the surviving producers have delivered.
     - ``_pending`` holds the sorted topological indices of the WAITING/READY
       tasks; a task leaves it when it is dispatched or dismissed.
-    - ``_ready`` is the subset of ``_pending`` with nothing missing.
+    - ``_ready[attribute]`` holds the indices in ``_pending`` with nothing
+      missing, split by task attribute, so a scan can rank only the tasks
+      an idle tile can take.
+
+    "Ready" here means ``missing`` is zero, not the READY state: a scheduler
+    moves a task WAITING -> READY only when its scan reaches or dispatches
+    it, and nothing but the transition table reads that state.
 
     ``is_ready`` and ``live_in_edges`` recompute readiness from scratch and
     serve as the oracle for this state.
@@ -288,7 +294,7 @@ class DagInstance:
         self.outputs: dict[str, list[Token]] = {}
         self.missing = {tid: len(dag._in_edges[tid]) for tid in dag.tasks}
         self._pending = list(range(len(dag._topo)))
-        self._ready: set[int] = set()
+        self._ready: dict[str, set[int]] = {attr: set() for attr in ATTRIBUTES}
 
     def set_state(self, task_id: str, new: TaskState) -> None:
         cur = self.states[task_id]
@@ -298,7 +304,7 @@ class DagInstance:
         if new is TaskState.DISPATCHED or new is TaskState.DISMISSED:
             index = self.dag._topo_index[task_id]
             del self._pending[bisect_left(self._pending, index)]
-            self._ready.discard(index)
+            self._ready[self.dag.tasks[task_id].attribute].discard(index)
         if new is TaskState.DISMISSED:
             for idx in self.dag._out_edges[task_id]:
                 if not self.fifos[idx]:
@@ -309,7 +315,8 @@ class DagInstance:
         if task_id in self.missing:
             self.missing[task_id] -= 1
             if self.missing[task_id] == 0 and self.states[task_id] in _PENDING:
-                self._ready.add(self.dag._topo_index[task_id])
+                self._ready[self.dag.tasks[task_id].attribute].add(
+                    self.dag._topo_index[task_id])
 
     def live_in_edges(self, task_id: str) -> list[int]:
         """Input edges whose producer was not dismissed (arity adjustment)."""
@@ -327,17 +334,23 @@ class DagInstance:
         return all(self.fifos[idx] for idx in self.live_in_edges(task_id))
 
     def ready_tasks(self) -> set[str]:
-        return {self.dag._topo[i] for i in self._ready}
+        return {self.dag._topo[i] for ready in self._ready.values() for i in ready}
 
-    def ready_ranks(self) -> list[tuple[int, str]]:
-        """(rank, task) of each ready task, in topological order.
+    def ready_ranks(self, attributes: Iterable[str] = ATTRIBUTES
+                    ) -> list[tuple[int, str]]:
+        """(rank, task) of each ready task of ``attributes``, in topological
+        order.
 
-        ``rank`` is the task's 1-based position among the WAITING/READY tasks
+        ``rank`` is the task's 1-based position among all WAITING/READY tasks
         in topological order, i.e. how many of them a front-to-back walk
-        visits up to and including this one.
+        visits up to and including this one, whatever their attributes.
         """
         topo, pending = self.dag._topo, self._pending
-        return [(bisect_left(pending, i) + 1, topo[i]) for i in sorted(self._ready)]
+        indices: list[int] = []
+        for attr in attributes:
+            indices += self._ready[attr]
+        indices.sort()
+        return [(bisect_left(pending, i) + 1, topo[i]) for i in indices]
 
     @property
     def pending_count(self) -> int:
@@ -365,7 +378,8 @@ class DagInstance:
             if not fifo:
                 self.missing[task_id] += 1
         if self.missing[task_id]:
-            self._ready.discard(self.dag._topo_index[task_id])
+            self._ready[self.dag.tasks[task_id].attribute].discard(
+                self.dag._topo_index[task_id])
         return tokens
 
     def apply_dismissal(self, rule: DismissalRule, observed_count: int) -> list[str]:

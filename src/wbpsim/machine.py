@@ -322,7 +322,8 @@ class ClusterState:
     active_threads: set[int] = field(default_factory=set)
 
     def idle_tiles(self) -> list[TileState]:
-        return [t for t in self.tiles if t.run_state is RunState.IDLE]
+        idle = RunState.IDLE  # an enum member lookup costs more than the test
+        return [t for t in self.tiles if t.run_state is idle]
 
 
 @dataclass
@@ -345,16 +346,18 @@ class MachineConfig:
     strict: bool = True
 
     def __post_init__(self):
+        # Each message starts "<field>: " (a section's name for its size),
+        # which the config parser maps to the config key.
         if self.clusters < 1:
-            raise ValueError("need at least one cluster")
+            raise ValueError("clusters: must be >= 1")
         if not self.tile_mix:
-            raise ValueError("tile mix must not be empty")
+            raise ValueError("tile_mix: must not be empty")
         for cls in self.tile_mix:
             if cls not in TILE_CLASS_TIMING:
-                raise ValueError(f"unknown tile class {cls!r}")
+                raise ValueError(f"tile_mix: unknown tile class {cls!r}")
         for name in SECTION_NAMES:
             if self.section_bytes.get(name, 0) <= 0:
-                raise ValueError(f"section {name} must have positive capacity")
+                raise ValueError(f"{name}: must have positive capacity")
 
 
 class Machine:

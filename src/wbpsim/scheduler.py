@@ -11,21 +11,32 @@ bundled deploy/retrieve protocol.
 
 The modeled scan walks each resident's tasks in topological order and pays
 ``scan_visit_cycles`` for every WAITING/READY task it passes, so a dispatch
-leaves at ``now + visits * scan_visit_cycles``. The host does not walk:
-each ``DagInstance`` keeps its ready set and the sorted topological indices
-of its WAITING/READY tasks up to date, and the scan touches ready tasks
-only. A ready task's ``visits`` is the pending count of the residents
-before it plus its rank (1-based position) among its own instance's pending
-tasks, taken when the scan starts. That equals the walk's count, because a
-dispatch only pops the dispatched task's inputs and so changes no other
-task's readiness during the scan.
+leaves at ``now + visits * scan_visit_cycles``. The host does not walk.
+Each ``DagInstance`` keeps the sorted topological indices of its
+WAITING/READY tasks and its ready tasks split by attribute, and the scan
+reaches only the ready tasks whose attribute some idle tile takes. A pass
+on a cluster without an idle tile reaches nothing, and a pass ends once
+each attribute it started with has found no idle tile. A task's ``visits``
+is the pending count of the residents before it plus its rank (1-based
+position) among all of its own instance's pending tasks, whatever their
+attribute, taken when the scan starts. That equals the walk's count, because a dispatch only pops
+the dispatched task's inputs and so changes no other task's readiness
+during the scan. It also only makes a tile busy, so a task skipped for want
+of a tile would have found none in the walk either.
+
+The scan flips a task WAITING -> READY only when it reaches it, and a
+dispatch needs READY; a skipped task stays WAITING, ready or not. Nothing
+but the transition table reads READY, so no digest, CSV row or counter sees
+when the flip happens.
 
 A placement needs a free thread slot on its cluster: the residency hit and
 the admission query ask ``slot_free``, and the LRU path evicts only on a
 cluster with a free slot. So while no cluster has a free slot, a pending
 thread waits without a try: one backpressure event and one "wait" decision
-with cluster -1, as the full try records. A failed try frees no slot, so
-this cannot change a later try.
+with cluster -1, as the full try records. ``evaluate`` asks once per pass
+and then records every pending thread's wait in order; ``_try_place`` asks
+again, as a placement earlier in the pass may take the last slot. A failed
+try frees no slot, so this cannot change a later try.
 
 A scratchpad section changes only through ``alloc`` and ``free_region``,
 on real reservations. Every fit query is pure: a placement, a dispatch and a
@@ -52,9 +63,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .costmodel import CostModel
-from .dag import PACK_HEADER_BYTES, Dag, DagInstance, TaskState, Token
-from .machine import (ClusterState, Event, EventKind, Machine, RunState,
-                      SimulationStalled, TileState)
+from .dag import (ATTRIBUTES, PACK_HEADER_BYTES, Dag, DagInstance, TaskState,
+                  Token)
+from .machine import (TILE_CLASS_TIMING, ClusterState, Event, EventKind, Machine,
+                      RunState, SimulationStalled, TileState)
 
 FIFO_RECORD_BYTES = 16
 LOAD_INDICATION_BYTES = 16
@@ -63,6 +75,11 @@ LOAD_INDICATION_BYTES = 16
 def _fifo_bytes(dag: Dag) -> int:
     """FIFO_LISTS bytes of one thread of ``dag``: a record per edge."""
     return max(1, len(dag.edges) * FIFO_RECORD_BYTES)
+
+
+# The task attributes each tile class may run.
+_TAKES = {cls: {attr for attr in ATTRIBUTES if attr == "ANY" or attr[0] == cls}
+          for cls in TILE_CLASS_TIMING}
 
 
 class UncoveredDag(ValueError):
@@ -265,36 +282,48 @@ class ClusterScheduler:
 
     def select_tile(self, attribute: str) -> TileState | None:
         candidates = [t for t in self.cluster.idle_tiles()
-                      if attribute == "ANY" or t.tile_class == attribute[0]]
+                      if attribute in _TAKES[t.tile_class]]
         if not candidates:
             return None
         return min(candidates, key=lambda t: (t.since, t.tile_id))
 
+    def _open_attributes(self) -> set[str]:
+        """The task attributes that some idle tile of the cluster takes."""
+        open_attrs: set[str] = set()
+        for tile_class in {t.tile_class for t in self.cluster.idle_tiles()}:
+            open_attrs |= _TAKES[tile_class]
+        return open_attrs
+
     def scan(self, now: int) -> list[TaskRun]:
         """One pass over resident instances; dispatches what fits right now.
 
-        Only ready tasks are touched, but each dispatch is charged as if the
-        pass had walked every WAITING/READY task of the earlier residents and
-        of its own instance up to it (see the module docstring).
+        Only ready tasks whose attribute has an idle tile are touched, but
+        each dispatch is charged as if the pass had walked every WAITING/READY
+        task of the earlier residents and of its own instance up to it (see
+        the module docstring).
         """
         visit_cycles = self.system.machine.config.scan_visit_cycles
         dispatched = []
-        # A dispatch only makes tiles busy, so an attribute that found no idle
-        # tile finds none for the rest of the pass.
-        no_tile: set[str] = set()
+        # A dispatch only makes a tile busy, so an attribute that found no
+        # idle tile finds none for the rest of the pass, which ends once every
+        # attribute open at its start has found none.
+        open_attrs = self._open_attributes()
         base = 0
         for run in list(self.residents.values()):
+            if not open_attrs:
+                break
             instance = run.instance
+            tasks = run.thread.dag.tasks
             pending = instance.pending_count
-            for rank, task_id in instance.ready_ranks():
+            for rank, task_id in instance.ready_ranks(open_attrs):
+                attribute = tasks[task_id].attribute
+                if attribute not in open_attrs:
+                    continue
                 if instance.states[task_id] is TaskState.WAITING:
                     instance.set_state(task_id, TaskState.READY)
-                attribute = run.thread.dag.tasks[task_id].attribute
-                if attribute in no_tile:
-                    continue
                 tile = self.select_tile(attribute)
                 if tile is None:
-                    no_tile.add(attribute)
+                    open_attrs.discard(attribute)
                     continue
                 dispatch_time = now + (base + rank) * visit_cycles
                 task_run = self._dispatch(run, task_id, tile, dispatch_time)
@@ -485,8 +514,20 @@ class MainScheduler:
 
     # -- the thread-level scheduling pass ---------------------------------------
 
+    def _no_free_slot(self) -> bool:
+        return not any(sched.slot_free() for sched in self.system.cluster_scheds)
+
+    def _wait_for_slot(self, threads: list[ThreadDescriptor], now: int) -> None:
+        """What a try concludes with no free slot anywhere: every path needs
+        one, so each thread waits (cluster -1) with a backpressure event."""
+        self.system.metrics.backpressure_events += len(threads)
+        self.decisions += [Decision(now, thread.tid, "wait") for thread in threads]
+
     def evaluate(self, now: int) -> None:
         """One pass over pending threads; unplaced ones stay pending."""
+        if self._no_free_slot():
+            self._wait_for_slot(self.pending, now)
+            return
         eval_cycles = self.system.machine.config.thread_eval_cycles
         self.pending = [
             thread for evals, thread in enumerate(self.pending, start=1)
@@ -528,11 +569,9 @@ class MainScheduler:
 
     def _try_place(self, thread: ThreadDescriptor, now: int,
                    decision_time: int) -> bool:
-        # No free thread slot anywhere: every path below needs one, so the
-        # thread waits exactly as the full try would conclude (cluster -1).
-        if not any(sched.slot_free() for sched in self.system.cluster_scheds):
-            self.system.metrics.backpressure_events += 1
-            self.decisions.append(Decision(now, thread.tid, "wait"))
+        # An earlier thread of this pass may have taken the last free slot.
+        if self._no_free_slot():
+            self._wait_for_slot([thread], now)
             return False
         # (a) residency hit: ship data only. Here and below, _place reserves
         # what _bundle_fits found room for, so it cannot fail.
@@ -720,7 +759,7 @@ class System:
             for sched in self.cluster_scheds:
                 sched.retry_stalled(now)
                 sched.scan(now)
-            if self._live_tids():
+            if len(self.finished_runs) != len(self.threads):
                 self._check_progress()
                 self._post_tick(now + self.machine.config.sched_tick_cycles)
         elif kind is EventKind.DMA_DONE:

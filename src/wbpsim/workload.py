@@ -71,14 +71,15 @@ class LinkConfig:
     snr_db: float | None = None  # None means a noiseless channel
 
     def __post_init__(self):
+        # Messages start "<field>: ", as MachineConfig's do.
         if not 0 <= self.users_per_slot <= MAX_USERS:
-            raise ValueError(f"users_per_slot must be in 0..{MAX_USERS}")
+            raise ValueError(f"users_per_slot: must be in 0..{MAX_USERS}")
         if self.bp_iters < 1:
-            raise ValueError("bp_iters must be >= 1")
+            raise ValueError("bp_iters: must be >= 1")
         if self.rate_match_e < 2 or self.rate_match_e % 2:
-            raise ValueError("rate_match_e must be even and positive")
+            raise ValueError("rate_match_e: must be even and positive")
         if (self.rate_match_e // 2) % self.ofdm.n_subcarriers:
-            raise ValueError("rate_match_e/2 must fill whole OFDM symbols")
+            raise ValueError("rate_match_e: half of it must fill whole OFDM symbols")
 
     @property
     def data_symbols_per_user(self) -> int:

@@ -75,6 +75,22 @@ def test_invariant_violation_names_key():
         parse_config("[system]\nclusters = 1\ntiles_per_cluster = 2\ntile_mix = L\n")
 
 
+@pytest.mark.parametrize("section,line,key", [
+    ("system", "clusters = 0", "clusters"),
+    ("system", "tile_mix = L,L,X,S", "tile_mix"),
+    ("system", "code_pool_bytes = 0", "code_pool_bytes"),
+    ("system", "compute_bytes = -5", "compute_bytes"),
+    ("cost", "serial_fraction = 1.5", "serial_fraction"),
+    ("link", "users_per_slot = 99", "users_per_slot"),
+    ("link", "rate_match_e = 130", "rate_match_e"),
+])
+def test_dataclass_range_error_names_its_config_key(section, line, key):
+    # MachineConfig, LinkConfig and CostParams make these checks themselves.
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"[{section}]\n{line}\n")
+    assert str(info.value).startswith(f"{key}: ")
+
+
 def test_type_error_reports_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("[system]\nclusters = many\n")

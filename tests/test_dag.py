@@ -1,11 +1,13 @@
 """Dataflow graph semantics: building, validation, FIFOs, dismissal."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbpsim.dag import (BackpressureError, Dag, DagInstance, TaskSpec,
-                        TaskState, Token, dump_dag, load_dag)
+from wbpsim.dag import (ATTRIBUTES, BackpressureError, Dag, DagInstance,
+                        TaskSpec, TaskState, Token, dump_dag, load_dag)
 
 
 def spec(tid, kernel="scramble", attr="ANY", code=1024):
@@ -354,6 +356,12 @@ def assert_readiness_matches_oracle(inst):
     assert inst.ready_ranks() == [(pending.index(t) + 1, t)
                                   for t in pending if inst.is_ready(t)]
     assert inst.pending_count == len(pending)
+    # Filtering by attribute keeps each task's rank among all pending tasks.
+    for size in range(len(ATTRIBUTES) + 1):
+        for attributes in itertools.combinations(ATTRIBUTES, size):
+            assert inst.ready_ranks(attributes) == [
+                (rank, t) for rank, t in inst.ready_ranks()
+                if inst.dag.tasks[t].attribute in attributes]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,13 +1,14 @@
-"""Golden corpus: the exact digest and CSV row of reference runs.
+"""Golden corpus: the exact digest, CSV row and decision log of reference runs.
 
 A pure speed-up of the simulator must leave every event stream and report
 byte-identical. These runs pin the ``report_row`` CSV row (its last field is
-the trace digest) of the reference configs and of a short deep-backlog point
-of the scaling sweep, all at seed 1. A change to the model must update the
-pins and say why.
+the trace digest) and a SHA-256 of the main scheduler's decision log of the
+reference configs and of a short deep-backlog point of the scaling sweep,
+all at seed 1. A change to the model must update the pins and say why.
 """
 
 import dataclasses
+import hashlib
 import io
 from pathlib import Path
 
@@ -19,10 +20,18 @@ from wbpsim.config import load_config, with_system
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def csv_row(setup) -> str:
+def csv_row(setup, report) -> str:
     buffer = io.StringIO()
-    emit_csv([report_row(setup, execute(setup))], buffer)
+    emit_csv([report_row(setup, report)], buffer)
     return buffer.getvalue().splitlines()[1]
+
+
+def decision_log_sha256(report) -> str:
+    """SHA-256 of the log as (time, thread, action, cluster, evicted) tuples,
+    so it changes if a wait is dropped, merged, reordered or re-timed."""
+    log = [(d.time, d.thread, d.action, d.cluster, d.evicted)
+           for d in report.decisions]
+    return hashlib.sha256(repr(log).encode()).hexdigest()
 
 
 def with_slots(setup, n_slots):
@@ -40,13 +49,30 @@ def with_slots(setup, n_slots):
      "0e06ee2af79b3c9b07cdf2a47364ac22dc172ef0bb8d8880ac0d9056d04c56fb"),
 ])
 def test_reference_config_golden_row(name, row):
-    assert csv_row(load_config(CONFIGS / name)) == row
+    setup = load_config(CONFIGS / name)
+    report = execute(setup)
+    assert csv_row(setup, report) == row
+    assert decision_log_sha256(report) == REFERENCE_DECISION_LOGS[name]
+
+
+# 491 of example.cfg's 499 decisions and 1250 of 3c4t.cfg's 1274 are waits.
+REFERENCE_DECISION_LOGS = {
+    "example.cfg":
+        "b0fa978fae7441a3ee56f3b51c5fddc7a28aaec69be9fc9769f32e92f7ff6055",
+    "3c4t.cfg":
+        "2f26f019caf7b642cbb9df89586017daa957110da400944dfd6843263f96359e",
+}
 
 
 def test_sweep_4x3_deep_backlog_golden_row():
     # The 4-cluster, 3-tile sweep point builds a deep task backlog, so the
     # cluster scan runs over many resident instances; 20 slots keep it short.
-    setup = with_slots(load_config(CONFIGS / "sweep.cfg"), 20)
-    assert csv_row(with_system(setup, 4, sweep_mix(3))) == (
+    # Its 32 thread slots take all 20 threads, so its log holds no wait.
+    setup = with_system(with_slots(load_config(CONFIGS / "sweep.cfg"), 20),
+                        4, sweep_mix(3))
+    report = execute(setup)
+    assert csv_row(setup, report) == (
         "bf3fe2b626b9,4,3,2,1,20,1,1,1,20.776034,0.401118,8768672,6,0,14,100,"
         "facabff8d4f123a28766130581046b104b0f29bcbb206df8589210bec31b0ad7")
+    assert decision_log_sha256(report) == (
+        "8677c08a26625a8472461d65a51b239994e08ed1cea4590b6673c4e9c6f668a0")

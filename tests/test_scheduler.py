@@ -8,12 +8,13 @@ import pytest
 
 from conftest import input_token, linear_dag, make_passthrough_body
 from wbpsim.costmodel import CostModel, CostParams
-from wbpsim.dag import Dag, TaskSpec, Token
-from wbpsim.machine import Machine, MachineConfig, SimulationStalled, SpmSection
+from wbpsim.dag import Dag, TaskSpec, TaskState, Token
+from wbpsim.machine import (Machine, MachineConfig, RunState, SimulationStalled,
+                            SpmSection)
 from wbpsim.scheduler import (ClusterScheduler, Decision, DeploymentTable,
-                              MainScheduler, System, TableEntry,
-                              ThreadDescriptor, ThreadStatus, mem_pack,
-                              mem_unpack)
+                              MainScheduler, Metrics, System, TableEntry,
+                              ThreadDescriptor, ThreadRun, ThreadStatus,
+                              mem_pack, mem_unpack)
 
 # One law so synthetic task cost is predictable; ref lanes match the L tile
 # so no lane scaling applies.
@@ -519,6 +520,97 @@ def test_busy_cycles_sum_the_cost_of_each_task_a_tile_ran(monkeypatch):
 def test_scan_empty_when_nothing_ready():
     system = two_class_system()
     assert system.cluster_scheds[0].scan(0) == []
+
+
+def resident(system, tid, dag):
+    """Admit a thread of ``dag`` straight onto cluster 0, each external
+    input in its own COMPUTE_DATA region as a placement leaves it."""
+    compute = system.machine.clusters[0].sections["COMPUTE_DATA"]
+    inputs = [Token(payload=b"in", byte_size=64, region=compute.alloc(64))
+              for _ in dag.external_input_edges()]
+    run = ThreadRun(thread=ThreadDescriptor(tid=tid, dag=dag, inputs=inputs,
+                                            arrival_time=0),
+                    cluster_id=0, fifo_region=0)
+    system.cluster_scheds[0].admit_instance(run)
+    return run
+
+
+def walk_dispatch_time(sched, now, tid, task_id):
+    """When a front-to-back walk over every WAITING/READY task of every
+    resident, whatever its attribute, reaches ``task_id`` of thread ``tid``."""
+    visits = 0
+    for run in sched.residents.values():
+        for task in run.thread.dag.topo_order:
+            if run.instance.states[task] in (TaskState.WAITING, TaskState.READY):
+                visits += 1
+                if (run.thread.tid, task) == (tid, task_id):
+                    return now + visits * sched.system.machine.config.scan_visit_cycles
+    raise AssertionError(f"thread {tid} has no pending task {task_id}")
+
+
+def test_scan_without_an_idle_tile_changes_nothing():
+    system = two_class_system()
+    sched = system.cluster_scheds[0]
+    run = resident(system, 0, linear_dag(3))
+    for tile in sched.cluster.tiles:
+        tile.run_state = RunState.RUNNING
+    assert run.instance.ready_tasks() == {"t0"}
+    states = dict(run.instance.states)
+    assert sched.scan(0) == []
+    assert run.instance.states == states  # t0 was not even flipped to READY
+    assert system.metrics == Metrics()
+
+
+def test_scan_charges_a_filtered_dispatch_as_the_full_walk():
+    # With the L tile busy the scan skips every LARGE task, yet the SMALL
+    # task of the later resident leaves when the walk past them would.
+    system = two_class_system()
+    sched = system.cluster_scheds[0]
+    large, small = sched.cluster.tiles
+    large.run_state = RunState.RUNNING
+    resident(system, 0, linear_dag(3, attr="LARGE"))
+    dag = Dag()
+    for task_id, attribute in (("a0", "LARGE"), ("a1", "LARGE"), ("s", "SMALL")):
+        dag.add_task(TaskSpec(task_id=task_id, kernel="assemble",
+                              attribute=attribute, code_bytes=512))
+    dag.add_edge("EXTERNAL", "a0")
+    dag.add_edge("a0", "a1")
+    dag.add_edge("EXTERNAL", "s")
+    dag.freeze()
+    assert dag.topo_order == ["a0", "s", "a1"]
+    resident(system, 1, dag)
+    expected = walk_dispatch_time(sched, 500, 1, "s")
+    [task_run] = sched.scan(500)
+    assert (task_run.run.thread.tid, task_run.task_id) == (1, "s")
+    assert task_run.tile is small
+    assert small.since == expected == 500 + (3 + 2) * 10
+
+
+def test_dispatch_without_load_indication_room_leaves_the_tile_to_the_next_task(
+        monkeypatch):
+    system = two_class_system()
+    sched = system.cluster_scheds[0]
+    large, small = sched.cluster.tiles
+    large.run_state = RunState.RUNNING
+    first = resident(system, 0, linear_dag(2, attr="SMALL"))
+    resident(system, 1, linear_dag(2, attr="SMALL"))
+    indication = sched.cluster.sections["LOAD_INDICATION"]
+    would_fit = SpmSection.would_fit
+    refused = []
+
+    def full_once(self, *sizes):  # the first dispatch finds the section full
+        if self is indication and not refused:
+            refused.append(sizes)
+            return False
+        return would_fit(self, *sizes)
+
+    monkeypatch.setattr(SpmSection, "would_fit", full_once)
+    expected = walk_dispatch_time(sched, 0, 1, "t0")
+    [task_run] = sched.scan(0)
+    assert refused and system.metrics.backpressure_events == 1
+    assert first.instance.ready_tasks() == {"t0"}
+    assert (task_run.run.thread.tid, task_run.task_id) == (1, "t0")
+    assert task_run.tile is small and small.since == expected
 
 
 def test_no_free_slot_waits_without_a_fit_query(monkeypatch):
