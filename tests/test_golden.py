@@ -5,6 +5,7 @@ byte-identical. These runs pin the ``report_row`` CSV row (its last field is
 the trace digest) and a SHA-256 of the main scheduler's decision log of the
 reference configs and of a short deep-backlog point of the scaling sweep,
 all at seed 1. A change to the model must update the pins and say why.
+Payload pins hash the thread inputs that the perfbench configs spawn.
 """
 
 import dataclasses
@@ -12,12 +13,16 @@ import hashlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wbpsim.cli import emit_csv, execute, report_row, sweep_mix
 from wbpsim.config import load_config, with_system
+from wbpsim.workload import (RxBundle, TddPattern, build_rx_dag, build_tx_dag,
+                             spawn_threads)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
 
 
 def csv_row(setup, report) -> str:
@@ -76,3 +81,68 @@ def test_sweep_4x3_deep_backlog_golden_row():
         "facabff8d4f123a28766130581046b104b0f29bcbb206df8589210bec31b0ad7")
     assert decision_log_sha256(report) == (
         "8677c08a26625a8472461d65a51b239994e08ed1cea4590b6673c4e9c6f668a0")
+
+
+def _feed(sha, value) -> None:
+    """Hash a payload with its structure: dtype and shape of every array,
+    the length of every tuple and an RxBundle's scalars."""
+    if isinstance(value, np.ndarray):
+        sha.update(f"{value.dtype.str}{value.shape}".encode())
+        sha.update(value.tobytes())
+    elif isinstance(value, RxBundle):
+        sha.update(repr((value.user_count, value.noise_var)).encode())
+        _feed(sha, value.per_user)
+    elif isinstance(value, tuple):
+        sha.update(f"({len(value)}".encode())
+        for item in value:
+            _feed(sha, item)
+    else:
+        raise TypeError(f"unexpected payload type {type(value).__name__}")
+
+
+def payload_sha256(setup) -> str:
+    """SHA-256 of every spawned thread's input payloads and byte sizes, and
+    of its ``expected`` and ``truth_bits`` meta entries, in thread order."""
+    link = setup.link
+    threads = spawn_threads(setup.pattern, setup.n_slots, link, setup.seed,
+                            build_tx_dag(link), build_rx_dag(link))
+    sha = hashlib.sha256()
+    for thread in threads:
+        sha.update(repr((thread.tid, thread.arrival_time, thread.meta["kind"],
+                         [token.byte_size for token in thread.inputs])).encode())
+        for token in thread.inputs:
+            _feed(sha, token.payload)
+        if "expected" in thread.meta:
+            _feed(sha, thread.meta["expected"])
+        _feed(sha, thread.meta["truth_bits"])
+    return sha.hexdigest()
+
+
+# The trace digest never sees payload contents, so these pin them: a
+# synthesis change that still decodes cleanly (reordered noise draws, a
+# wrong pilot) changes them. The two sweep points share link, pattern and
+# seed, so their payloads agree. The last case runs sweep-5x9's link at
+# 5 dB over 20 slots of a pattern that opens with an uplink slot and has
+# two uplink slots in a row, so it pins the order of the random draws.
+@pytest.mark.parametrize("name,pattern,snr_db,n_slots,sha", [
+    ("sweep-5x9", None, None, None,
+     "679a06527d2189a15136b8369e89f616ad14a3ce63cf6f8f51250b8c34b028e3"),
+    ("sweep-4x3", None, None, None,
+     "679a06527d2189a15136b8369e89f616ad14a3ce63cf6f8f51250b8c34b028e3"),
+    ("flat-downlink", None, None, None,
+     "704c9e56f50729184f519929e3378f875cc79e4a383f432fd40d313bac77e803"),
+    ("sweep-5x9", "UDDUU", 5.0, 20,
+     "bd9bf9a2253e565f096be3083790a953cd32c5053260d1e6653c509e3b64bbf3"),
+])
+def test_perfbench_thread_payloads_golden(name, pattern, snr_db, n_slots, sha):
+    setup = load_config(PERFBENCH_CONFIGS / f"{name}.cfg")
+    assert setup.seed == 1
+    if n_slots is not None:
+        setup = with_slots(setup, n_slots)
+    if pattern is not None:
+        setup = dataclasses.replace(setup, pattern=TddPattern.parse(
+            pattern, setup.pattern.slot_duration_cycles))
+    if snr_db is not None:
+        setup = dataclasses.replace(
+            setup, link=dataclasses.replace(setup.link, snr_db=snr_db))
+    assert payload_sha256(setup) == sha
