@@ -298,13 +298,16 @@ def bp_decode_many(llrs: np.ndarray, code: PolarCode, max_iters: int = 30,
 
 
 def rate_match_rv0(coded, E: int) -> np.ndarray:
-    """Cyclic offset-0 bit selection: out[i] = coded[i mod N] for i < E."""
+    """Cyclic offset-0 bit selection: out[i] = coded[i mod N] for i < E.
+
+    Accepts a batch as rows (N along the last axis).
+    """
     coded = as_bits(coded)
-    if coded.size < 1:
+    if coded.shape[-1] < 1:
         raise ValueError("coded block must be non-empty")
     if E < 1:
         raise ValueError("target length must be >= 1")
-    return coded[np.arange(E) % coded.size]
+    return coded[..., np.arange(E) % coded.shape[-1]]
 
 
 def rate_recover_rv0(llr, N: int) -> np.ndarray:
@@ -347,9 +350,18 @@ def gold_sequence(c_init: int, length: int) -> np.ndarray:
     return np.frombuffer(_gold_bytes(int(c_init), int(length)), dtype=np.int8).copy()
 
 
-def scramble(bits, c_init: int) -> np.ndarray:
+def scramble(bits, c_init) -> np.ndarray:
+    """XOR with the Gold sequence of ``c_init``.
+
+    Accepts a batch as rows; ``c_init`` is then one int for every row or a
+    sequence of ints, one per row.
+    """
     bits = as_bits(bits)
-    return bits ^ gold_sequence(c_init, bits.size)
+    length = bits.shape[-1]
+    if np.ndim(c_init) == 0:
+        return bits ^ gold_sequence(c_init, length)
+    masks = np.array([gold_sequence(c, length) for c in c_init], dtype=np.int8)
+    return bits ^ masks.reshape(-1, length)
 
 
 def descramble_llr(llr, c_init: int) -> np.ndarray:
@@ -364,12 +376,15 @@ def descramble_llr(llr, c_init: int) -> np.ndarray:
 
 
 def qpsk_mod(bits) -> np.ndarray:
-    """Gray-mapped QPSK: pair (b0, b1) -> ((1-2 b0) + j (1-2 b1)) / sqrt(2)."""
+    """Gray-mapped QPSK: pair (b0, b1) -> ((1-2 b0) + j (1-2 b1)) / sqrt(2).
+
+    Accepts a batch as rows; bits pair up along the last axis.
+    """
     bits = as_bits(bits)
-    if bits.size % 2:
+    if bits.shape[-1] % 2:
         raise ValueError("QPSK needs an even number of bits")
-    i = 1.0 - 2.0 * bits[0::2]
-    q = 1.0 - 2.0 * bits[1::2]
+    i = 1.0 - 2.0 * bits[..., 0::2]
+    q = 1.0 - 2.0 * bits[..., 1::2]
     return (i + 1j * q) / math.sqrt(2.0)
 
 
@@ -405,12 +420,15 @@ class OfdmConfig:
 
 
 def ofdm_modulate(freq, cfg: OfdmConfig) -> np.ndarray:
-    """Inverse transform plus cyclic prefix (last cp_len samples prepended)."""
+    """Inverse transform plus cyclic prefix (last cp_len samples prepended).
+
+    Accepts a batch of symbols along the leading axes, subcarriers last.
+    """
     freq = as_complex(freq)
-    if freq.size != cfg.n_subcarriers:
-        raise ValueError(f"expected {cfg.n_subcarriers} subcarriers, got {freq.size}")
+    if freq.shape[-1] != cfg.n_subcarriers:
+        raise ValueError(f"expected {cfg.n_subcarriers} subcarriers, got {freq.shape[-1]}")
     time = fft(freq, inverse=True)
-    return np.concatenate([time[cfg.n_subcarriers - cfg.cp_len:], time])
+    return np.concatenate([time[..., cfg.n_subcarriers - cfg.cp_len:], time], axis=-1)
 
 
 def ofdm_demodulate(time, cfg: OfdmConfig) -> np.ndarray:

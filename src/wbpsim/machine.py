@@ -26,7 +26,7 @@ import hashlib
 import heapq
 import json
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .costmodel import DmaTiming, TileTiming, dma_cycles
@@ -413,7 +413,8 @@ class Machine:
         """Post a copy of the tile's job, if any (lenient runs may lack one)."""
         if tile.tile_id in self._jobs:
             job = self._jobs[tile.tile_id][0]
-            return self.engine.post(replace(job, time=time, kind=kind, nbytes=nbytes))
+            return self.engine.post(Event(time, kind, job.cluster, job.tile, job.thread,
+                                          job.task, nbytes, job.ctx))
 
     def set_port_direction(self, tile: TileState, direction: PortDirection) -> int:
         """Atomic CSR write flipping scratchpad ownership; returns its cost."""

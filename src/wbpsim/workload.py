@@ -7,9 +7,11 @@ demod -> descramble -> rate recovery -> blind detection, fanning out to the
 maximum of 20 channel decoders whose unused tail is dismissed at runtime
 once the detected user count is known.
 
-Thread payloads are synthesized up front from a seeded generator (uplink
-slots reuse the preceding downlink slot's info bits, passed through the
-modeled channel), so simulation order cannot perturb the data.
+Thread payloads are synthesized up front from a seeded generator, so
+simulation order cannot perturb the data. Each slot's frames are built once,
+for all its users together, in one batched kernel call per chain stage; an
+uplink slot reuses its paired downlink slot's frames, passed through the
+modeled channel.
 
 A receive thread's decoders share one batched decode on the host, as a
 software polar decoder amortises its per-call overhead over sibling frames.
@@ -153,35 +155,31 @@ def user_c_init(link: LinkConfig, user: int) -> int:
 # functional reference chain (also used to synthesize receive-side inputs)
 
 
-def tx_user_symbols(link: LinkConfig, user: int, bits: np.ndarray) -> tuple:
-    """Transmit one user's frame; returns the per-symbol sample arrays."""
+def tx_frames(link: LinkConfig, bits: np.ndarray, pilot: np.ndarray) -> np.ndarray:
+    """Transmit every user's frame (one row of ``bits`` each) in one batched
+    call per kernel stage; returns samples shaped (users, symbols_per_user,
+    symbol_len), each frame led by the ``pilot_symbol_freq`` symbol."""
+    users = bits.shape[0]
     coded = kernels.polar_encode(bits, link.polar)
     matched = kernels.rate_match_rv0(coded, link.rate_match_e)
-    scrambled = kernels.scramble(matched, user_c_init(link, user))
-    syms = kernels.qpsk_mod(scrambled)
-    blocks = syms.reshape(link.data_symbols_per_user, link.ofdm.n_subcarriers)
-    out = [kernels.ofdm_modulate(pilot_symbol_freq(link), link.ofdm)]
-    out.extend(kernels.ofdm_modulate(block, link.ofdm) for block in blocks)
-    return tuple(out)
+    scrambled = kernels.scramble(matched, [user_c_init(link, u) for u in range(users)])
+    freq = np.empty((users, link.symbols_per_user, link.ofdm.n_subcarriers),
+                    dtype=np.complex128)
+    freq[:, 0] = pilot
+    freq[:, 1:] = kernels.qpsk_mod(scrambled).reshape(
+        users, link.data_symbols_per_user, link.ofdm.n_subcarriers)
+    return kernels.ofdm_modulate(freq, link.ofdm)
 
 
 def tx_slot_samples(link: LinkConfig, bits: np.ndarray) -> np.ndarray:
     """Expected slot-assembly output: all users' samples concatenated."""
-    parts = []
-    for user in range(bits.shape[0]):
-        parts.extend(tx_user_symbols(link, user, bits[user]))
-    if not parts:
-        return np.zeros(0, dtype=np.complex128)
-    return np.concatenate(parts)
+    return tx_frames(link, bits, pilot_symbol_freq(link)).reshape(-1)
 
 
-def rx_slot_input(link: LinkConfig, bits: np.ndarray,
-                  rng: np.random.Generator) -> RxBundle:
-    """Channel output for a slot carrying ``bits`` (one row per user)."""
-    users = bits.shape[0]
-    frames = [tx_user_symbols(link, u, bits[u]) for u in range(users)]
-    flat = np.concatenate([s for frame in frames for s in frame]) if users \
-        else np.zeros(0, dtype=np.complex128)
+def channel_bundle(link: LinkConfig, frames: np.ndarray,
+                   rng: np.random.Generator) -> RxBundle:
+    """Receive payload of ``tx_frames`` output passed through the channel."""
+    flat = frames.reshape(-1)
     received = kernels.awgn_channel(flat, math.inf if link.snr_db is None
                                     else link.snr_db, rng)
     if link.snr_db is None:
@@ -189,17 +187,15 @@ def rx_slot_input(link: LinkConfig, bits: np.ndarray,
     else:
         power = float(np.mean(np.abs(flat) ** 2)) if flat.size else 1.0
         noise_var = max(power / (10.0 ** (link.snr_db / 10.0)), 1e-12)
-    sym_len = link.ofdm.symbol_len
-    per_user = []
-    cursor = 0
-    for _ in range(users):
-        syms = []
-        for _ in range(link.symbols_per_user):
-            syms.append(received[cursor:cursor + sym_len])
-            cursor += sym_len
-        per_user.append(tuple(syms))
-    return RxBundle(per_user=tuple(per_user), user_count=users,
+    per_user = tuple(tuple(frame) for frame in received.reshape(frames.shape))
+    return RxBundle(per_user=per_user, user_count=frames.shape[0],
                     noise_var=noise_var)
+
+
+def rx_slot_input(link: LinkConfig, bits: np.ndarray,
+                  rng: np.random.Generator) -> RxBundle:
+    """Channel output for a slot carrying ``bits`` (one row per user)."""
+    return channel_bundle(link, tx_frames(link, bits, pilot_symbol_freq(link)), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -439,35 +435,36 @@ def spawn_threads(pattern: TddPattern, n_slots: int, link: LinkConfig,
                   seed: int, tx_dag: Dag | None, rx_dag: Dag) -> list[ThreadDescriptor]:
     """One thread per slot: downlink slots transmit, uplink slots receive.
 
-    An uplink slot reuses the info bits of the closest preceding downlink
-    slot (its paired transmitter) when one exists; the receive payload is
-    those frames passed through the modeled channel.
+    Each downlink slot draws its users' info bits and builds their frames
+    once, in one batched call per kernel stage. An uplink slot reuses the
+    bits and frames of the closest preceding downlink slot (its paired
+    transmitter) and adds the modeled channel; an uplink slot with no
+    downlink slot before it draws and builds its own.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
+    pilot = pilot_symbol_freq(link)
     threads = []
-    last_downlink_bits: np.ndarray | None = None
+    downlink: tuple[np.ndarray, np.ndarray] | None = None  # last (bits, frames)
     for slot in range(n_slots):
         kind = pattern.slots[slot % len(pattern.slots)]
         rng = _slot_rng(seed, slot)
         arrival = slot * pattern.slot_duration_cycles
-        if kind == "D":
-            if tx_dag is None:
-                raise ValueError("pattern has downlink slots but no transmit dag")
+        if kind == "D" and tx_dag is None:
+            raise ValueError("pattern has downlink slots but no transmit dag")
+        if kind == "D" or downlink is None:
             bits = rng.integers(0, 2, size=(link.users_per_slot, link.polar.K),
                                 dtype=np.int8)
-            last_downlink_bits = bits
-            inputs = [make_token(bits[u]) for u in range(link.users_per_slot)]
-            meta = {"kind": "tx", "slot": slot, "truth_bits": bits,
-                    "expected": tx_slot_samples(link, bits)}
+            frames = tx_frames(link, bits, pilot)
         else:
-            if last_downlink_bits is not None:
-                bits = last_downlink_bits
-            else:
-                bits = rng.integers(0, 2, size=(link.users_per_slot, link.polar.K),
-                                    dtype=np.int8)
-            bundle = rx_slot_input(link, bits, rng)
-            inputs = [make_token(bundle)]
+            bits, frames = downlink
+        if kind == "D":
+            downlink = bits, frames
+            inputs = [make_token(row) for row in bits]
+            meta = {"kind": "tx", "slot": slot, "truth_bits": bits,
+                    "expected": frames.reshape(-1)}
+        else:
+            inputs = [make_token(channel_bundle(link, frames, rng))]
             meta = {"kind": "rx", "slot": slot, "truth_bits": bits}
         threads.append(ThreadDescriptor(
             tid=slot, dag=tx_dag if kind == "D" else rx_dag, inputs=inputs,

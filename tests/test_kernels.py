@@ -611,3 +611,69 @@ def test_hex_dump_roundtrip(rng):
     np.testing.assert_array_equal(K.hex_load(K.hex_dump(arr)), arr)
     bits = rng.integers(0, 2, 16, dtype=np.int8)
     np.testing.assert_array_equal(K.hex_load(K.hex_dump(bits)), bits)
+
+
+# ---------------------------------------------------------------------------
+# batch axis of the transmit-chain kernels: a batched call equals the same
+# kernel called row by row, byte for byte
+
+
+def test_rate_match_batch_equals_rows(rng):
+    for shape, E in (((3, 8), 12), ((2, 4, 16), 10), ((0, 8), 8)):
+        coded = rng.integers(0, 2, shape, dtype=np.int8)
+        rows = coded.reshape(-1, shape[-1])
+        out = K.rate_match_rv0(coded, E)
+        assert out.shape == shape[:-1] + (E,)
+        expected = [K.rate_match_rv0(row, E) for row in rows]
+        assert out.reshape(-1, E).tobytes() == b"".join(r.tobytes() for r in expected)
+
+
+def test_scramble_batch_equals_rows(rng):
+    bits = rng.integers(0, 2, (4, 40), dtype=np.int8)
+    seeds = [5, 6, 2**31 - 1, 0]
+    out = K.scramble(bits, seeds)
+    assert out.dtype == np.int8
+    assert out.tobytes() == b"".join(K.scramble(row, c).tobytes()
+                                     for row, c in zip(bits, seeds))
+    shared = K.scramble(bits, 9)  # one seed for every row
+    assert shared.tobytes() == b"".join(K.scramble(row, 9).tobytes() for row in bits)
+    assert K.scramble(np.zeros((0, 40), dtype=np.int8), []).shape == (0, 40)
+
+
+def test_qpsk_batch_equals_rows(rng):
+    bits = rng.integers(0, 2, (3, 2, 64), dtype=np.int8)
+    out = K.qpsk_mod(bits)
+    assert out.shape == (3, 2, 32)
+    assert out.tobytes() == b"".join(K.qpsk_mod(row).tobytes()
+                                     for row in bits.reshape(-1, 64))
+
+
+def test_ofdm_modulate_batch_equals_rows(rng):
+    cfg = K.OfdmConfig(n_subcarriers=32, cp_len=8)
+    freq = rng.normal(size=(5, 3, 32)) + 1j * rng.normal(size=(5, 3, 32))
+    out = K.ofdm_modulate(freq, cfg)
+    assert out.shape == (5, 3, 40)
+    assert out.tobytes() == b"".join(K.ofdm_modulate(row, cfg).tobytes()
+                                     for row in freq.reshape(-1, 32))
+    assert K.ofdm_modulate(np.zeros((0, 3, 32)), cfg).shape == (0, 3, 40)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: K.rate_match_rv0(np.zeros(0, dtype=np.int8), 4),
+     "coded block must be non-empty"),
+    (lambda: K.rate_match_rv0(np.ones(4, dtype=np.int8), 0),
+     "target length must be >= 1"),
+    (lambda: K.rate_match_rv0([0, 2], 4), "bit vector entries must be 0 or 1"),
+    (lambda: K.scramble([0, 1], 2**31), "c_init must fit in 31 bits"),
+    (lambda: K.scramble([0, 3], 1), "bit vector entries must be 0 or 1"),
+    (lambda: K.qpsk_mod([1, 0, 1]), "QPSK needs an even number of bits"),
+    (lambda: K.qpsk_mod(np.zeros((2, 3), dtype=np.int8)),
+     "QPSK needs an even number of bits"),
+    (lambda: K.ofdm_modulate(np.ones(16), K.OfdmConfig(32, 8)),
+     "expected 32 subcarriers, got 16"),
+    (lambda: K.ofdm_modulate(np.ones((2, 16)), K.OfdmConfig(32, 8)),
+     "expected 32 subcarriers, got 16"),
+])
+def test_transmit_kernel_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

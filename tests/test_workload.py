@@ -1,5 +1,7 @@
 """Link dags, thread spawning, and end-to-end simulated experiments."""
 
+import dataclasses
+import math
 import weakref
 
 import numpy as np
@@ -257,6 +259,95 @@ def test_functional_chain_reference_consistency():
     assert bundle.user_count == 2
     np.testing.assert_array_equal(np.concatenate(
         [s for per_user in bundle.per_user for s in per_user]), slot)
+
+
+def reference_frame(link, user, bits):
+    """One user's frame, one 1-D kernel call per stage and OFDM symbol."""
+    n_sub = link.ofdm.n_subcarriers
+    coded = kernels.polar_encode(bits, link.polar)
+    matched = kernels.rate_match_rv0(coded, link.rate_match_e)
+    scrambled = kernels.scramble(matched, (link.c_init + user) % 2**31)
+    blocks = kernels.qpsk_mod(scrambled).reshape(-1, n_sub)
+    pilot = kernels.qpsk_mod(kernels.gold_sequence(7, 2 * n_sub))
+    return [kernels.ofdm_modulate(block, link.ofdm) for block in [pilot, *blocks]]
+
+
+def reference_payloads(pattern, n_slots, link, seed):
+    """Per slot: (kind, truth bits, input payload arrays, expected samples,
+    noise variance). An uplink slot re-transmits the last downlink slot's
+    bits, or draws its own before any downlink slot."""
+    out, last = [], None
+    for slot in range(n_slots):
+        kind = pattern.slots[slot % len(pattern.slots)]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                           spawn_key=(slot,)))
+        if kind == "D" or last is None:
+            bits = rng.integers(0, 2, size=(link.users_per_slot, link.polar.K),
+                                dtype=np.int8)
+        else:
+            bits = last
+        syms = [s for u, row in enumerate(bits) for s in reference_frame(link, u, row)]
+        flat = np.concatenate(syms) if syms else np.zeros(0, dtype=np.complex128)
+        if kind == "D":
+            last = bits
+            out.append(("tx", bits, list(bits), flat, None))
+            continue
+        snr = math.inf if link.snr_db is None else link.snr_db
+        received = kernels.awgn_channel(flat, snr, rng)
+        noise_var = 1.0 if link.snr_db is None else max(
+            (np.mean(np.abs(flat) ** 2) if flat.size else 1.0) / 10 ** (snr / 10), 1e-12)
+        sym_len = link.ofdm.symbol_len
+        out.append(("rx", bits, [received[i:i + sym_len]
+                                 for i in range(0, received.size, sym_len)],
+                    None, noise_var))
+    return out
+
+
+@pytest.mark.parametrize("pattern", ["DU", "UDDUU"])
+@pytest.mark.parametrize("snr", [None, 5.0])
+@pytest.mark.parametrize("users", [0, 1, 20])
+def test_spawn_threads_payloads_match_per_user_reference(users, snr, pattern):
+    link = LinkConfig(polar=PolarCode.design(64, 32), rate_match_e=128,
+                      ofdm=OfdmConfig(32, 8), users_per_slot=users, snr_db=snr)
+    tdd = TddPattern.parse(pattern, 1000)
+    tx_dag = build_tx_dag(dataclasses.replace(link, users_per_slot=max(1, users)))
+    threads = spawn_threads(tdd, 7, link, 3, tx_dag, build_rx_dag(link))
+    for thread, (kind, bits, inputs, expected, noise_var) in zip(
+            threads, reference_payloads(tdd, 7, link, 3), strict=True):
+        assert thread.meta["kind"] == kind
+        assert thread.meta["truth_bits"].tobytes() == bits.tobytes()
+        if kind == "tx":
+            payloads = [token.payload for token in thread.inputs]
+            assert thread.meta["expected"].tobytes() == expected.tobytes()
+        else:
+            (token,) = thread.inputs
+            bundle = token.payload
+            assert (bundle.user_count, bundle.noise_var) == (users, noise_var)
+            payloads = [sym for frame in bundle.per_user for sym in frame]
+            assert [len(frame) for frame in bundle.per_user] == \
+                [link.symbols_per_user] * users
+        assert [p.tobytes() for p in payloads] == [p.tobytes() for p in inputs]
+        assert [p.dtype for p in payloads] == [p.dtype for p in inputs]
+        assert [t.byte_size for t in thread.inputs] == \
+            [payload_bytes(t.payload) for t in thread.inputs]
+
+
+@pytest.mark.parametrize("pattern,calls", [("DU", 3), ("UD", 4)])
+def test_spawn_threads_encodes_each_slot_once(pattern, calls, monkeypatch):
+    # One batched encode per downlink slot, shared with the uplink slot that
+    # follows; an uplink slot 0 encodes its own frames.
+    link = small_link(users=4)
+    tx_dag, rx_dag = build_tx_dag(link), build_rx_dag(link)
+    shapes = []
+    encode = kernels.polar_encode
+
+    def counting(info, code):
+        shapes.append(np.shape(info))
+        return encode(info, code)
+
+    monkeypatch.setattr(kernels, "polar_encode", counting)
+    spawn_threads(TddPattern.parse(pattern, 1000), 6, link, 1, tx_dag, rx_dag)
+    assert shapes == [(4, link.polar.K)] * calls
 
 
 # ---------------------------------------------------------------------------
