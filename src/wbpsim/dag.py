@@ -289,8 +289,6 @@ class DagInstance:
         self.dag = dag
         self.states = {tid: TaskState.WAITING for tid in dag.tasks}
         self.fifos: dict[int, deque[Token]] = {i: deque() for i in range(len(dag.edges))}
-        self.push_counts = {i: 0 for i in range(len(dag.edges))}
-        self.pop_counts = {i: 0 for i in range(len(dag.edges))}
         self.outputs: dict[str, list[Token]] = {}
         self.missing = {tid: len(dag._in_edges[tid]) for tid in dag.tasks}
         self._pending = list(range(len(dag._topo)))
@@ -363,7 +361,6 @@ class DagInstance:
         if len(fifo) >= edge.capacity:
             raise BackpressureError(f"edge {edge_idx} at capacity")
         fifo.append(token)
-        self.push_counts[edge_idx] += 1
         if len(fifo) == 1 and self.states.get(edge.src) is not TaskState.DISMISSED:
             self._input_satisfied(edge.dst)
 
@@ -374,7 +371,6 @@ class DagInstance:
         for idx in self.live_in_edges(task_id):
             fifo = self.fifos[idx]
             tokens.append(fifo.popleft())
-            self.pop_counts[idx] += 1
             if not fifo:
                 self.missing[task_id] += 1
         if self.missing[task_id]:

@@ -319,7 +319,6 @@ class ClusterState:
     sections: dict[str, SpmSection]
     dma: DmaEngine
     max_threads: int
-    active_threads: set[int] = field(default_factory=set)
 
     def idle_tiles(self) -> list[TileState]:
         idle = RunState.IDLE  # an enum member lookup costs more than the test
@@ -491,7 +490,7 @@ class Machine:
     def check_invariants(self) -> None:
         """Check the machine after an event.
 
-        Every event: each cluster's thread limit and each busy tile's port.
+        Every event: each busy tile's port.
         Only sections an event changed: the allocator ``check``. A section
         changes only through ``alloc`` and ``free_region``, which set its
         ``changed`` flag, so a section with a clear flag still holds the
@@ -505,8 +504,6 @@ class Machine:
                 if section.changed:
                     section.check()
                     section.changed = False
-            if len(cluster.active_threads) > cluster.max_threads:
-                raise RuntimeError(f"cluster {cluster.cluster_id} over thread limit")
             for tile in cluster.tiles:
                 state = tile.run_state
                 if state is idle:

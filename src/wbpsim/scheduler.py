@@ -5,11 +5,20 @@ whose dag is already resident on an admitting cluster ships only its data
 (lazy-deletion residency hit); otherwise clusters are asked in ascending id
 order whether they can admit the packed dag+data bundle, and as a last
 resort the least-recently-used idle dag is evicted to make room. Each
-cluster's scheduler then scans resident dag instances in registration order
-and dispatches ready tasks to attribute-matching idle tiles through the
-bundled deploy/retrieve protocol.
+cluster's scheduler then scans its dag instances and dispatches ready tasks
+to attribute-matching idle tiles through the bundled deploy/retrieve
+protocol.
 
-The modeled scan walks each resident's tasks in topological order and pays
+A placed thread has one record, its ``ThreadRun``, which holds its inputs
+tagged with their data regions. The run table ``ClusterScheduler.runs``
+holds every thread placed on the cluster and not yet finished, in placement
+order. A run's ``instance`` is None while its bundle is in flight, and the
+scan skips it. Placement order is admission order: each ``reserve`` of the
+one main DMA engine returns a ``done`` no earlier than the last, and equal
+times dispatch in posting order. A thread keeps no status: it is in
+``MainScheduler.pending``, in one ``runs`` table or in ``System.finished_runs``.
+
+The modeled scan walks each instance's tasks in topological order and pays
 ``scan_visit_cycles`` for every WAITING/READY task it passes, so a dispatch
 leaves at ``now + visits * scan_visit_cycles``. The host does not walk.
 Each ``DagInstance`` keeps the sorted topological indices of its
@@ -17,7 +26,7 @@ WAITING/READY tasks and its ready tasks split by attribute, and the scan
 reaches only the ready tasks whose attribute some idle tile takes. A pass
 on a cluster without an idle tile reaches nothing, and a pass ends once
 each attribute it started with has found no idle tile. A task's ``visits``
-is the pending count of the residents before it plus its rank (1-based
+is the pending count of the instances before it plus its rank (1-based
 position) among all of its own instance's pending tasks, whatever their
 attribute, taken when the scan starts. That equals the walk's count, because a dispatch only pops
 the dispatched task's inputs and so changes no other task's readiness
@@ -56,9 +65,7 @@ seed) pair always yields the same event stream and trace digest.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -86,27 +93,13 @@ class UncoveredDag(ValueError):
     """A submitted thread's dag needs a tile class that no cluster has."""
 
 
-class ThreadStatus(enum.Enum):
-    READY = "ready"
-    REGISTERED = "registered"
-    RUNNING = "running"
-    DONE = "done"
-
-
-@dataclass
+@dataclass(frozen=True)
 class ThreadDescriptor:
     tid: int
     dag: Dag
     inputs: list[Token]
     arrival_time: int
     meta: dict[str, Any] = field(default_factory=dict)
-    status: ThreadStatus = ThreadStatus.READY
-
-    def advance(self, new: ThreadStatus) -> None:
-        order = list(ThreadStatus)
-        if order.index(new) < order.index(self.status):
-            raise RuntimeError(f"thread {self.tid}: status may not move backwards")
-        self.status = new
 
 
 @dataclass
@@ -237,6 +230,7 @@ class ThreadRun:
     thread: ThreadDescriptor
     cluster_id: int
     fifo_region: int
+    inputs: list[Token]  # the thread's inputs, tagged with their data regions
     anon_code_region: int | None = None
     instance: DagInstance | None = None
     completed_at: int | None = None
@@ -253,30 +247,39 @@ class TaskRun:
 
 
 class ClusterScheduler:
-    """Task-level scheduler owning one cluster's resident dag instances."""
+    """Task-level scheduler owning one cluster's run table."""
 
     def __init__(self, system: "System", cluster: ClusterState):
         # A weak back-reference keeps System free of reference cycles, so a
         # finished run's memory is released as soon as the caller drops it.
         self.system = weakref.proxy(system)
         self.cluster = cluster
-        self.residents: OrderedDict[int, ThreadRun] = OrderedDict()
+        self.runs: dict[int, ThreadRun] = {}  # by thread id, in placement order
         self.stalled_retrievals: list[TaskRun] = []
 
     # -- admission ----------------------------------------------------------
 
     def slot_free(self) -> bool:
-        return len(self.cluster.active_threads) < self.cluster.max_threads
+        return len(self.runs) < self.cluster.max_threads
+
+    def runs_dag(self, dag_id: str) -> bool:
+        """Some unfinished thread on the cluster uses the dag."""
+        return any(run.thread.dag.dag_id == dag_id for run in self.runs.values())
 
     def admit_instance(self, run: ThreadRun) -> None:
+        tid = run.thread.tid
+        if self.runs.get(tid) is not run:
+            raise RuntimeError(f"thread {tid} admitted to cluster "
+                               f"{self.cluster.cluster_id} without a placement")
+        if run.instance is not None:
+            raise RuntimeError(f"thread {tid} admitted twice")
         instance = DagInstance(run.thread.dag)
         run.instance = instance
         ext_edges = run.thread.dag.external_input_edges()
-        if len(ext_edges) != len(run.thread.inputs):
+        if len(ext_edges) != len(run.inputs):
             raise RuntimeError("thread input count does not match dag input edges")
-        for edge_idx, token in zip(ext_edges, run.thread.inputs):
+        for edge_idx, token in zip(ext_edges, run.inputs):
             instance.push_token(edge_idx, token)
-        self.residents[run.thread.tid] = run
 
     # -- scanning and dispatch ------------------------------------------------
 
@@ -295,12 +298,13 @@ class ClusterScheduler:
         return open_attrs
 
     def scan(self, now: int) -> list[TaskRun]:
-        """One pass over resident instances; dispatches what fits right now.
+        """One pass over admitted instances; dispatches what fits right now.
 
         Only ready tasks whose attribute has an idle tile are touched, but
         each dispatch is charged as if the pass had walked every WAITING/READY
-        task of the earlier residents and of its own instance up to it (see
-        the module docstring).
+        task of the earlier instances and of its own up to it (see the module
+        docstring). A run whose bundle is in flight has no instance and
+        costs nothing.
         """
         visit_cycles = self.system.machine.config.scan_visit_cycles
         dispatched = []
@@ -309,10 +313,12 @@ class ClusterScheduler:
         # attribute open at its start has found none.
         open_attrs = self._open_attributes()
         base = 0
-        for run in list(self.residents.values()):
+        for run in self.runs.values():
             if not open_attrs:
                 break
             instance = run.instance
+            if instance is None:
+                continue
             tasks = run.thread.dag.tasks
             pending = instance.pending_count
             for rank, task_id in instance.ready_ranks(open_attrs):
@@ -427,6 +433,8 @@ class ClusterScheduler:
         self.scan(now)
 
     def finish_thread(self, run: ThreadRun, now: int) -> None:
+        if self.runs.pop(run.thread.tid, None) is not run:
+            raise RuntimeError(f"thread {run.thread.tid} finished twice")
         compute = self.cluster.sections["COMPUTE_DATA"]
         for fifo in run.instance.fifos.values():
             for token in fifo:
@@ -436,10 +444,7 @@ class ClusterScheduler:
             for token in tokens:
                 compute.free_region(token.region)
         self.cluster.sections["FIFO_LISTS"].free_region(run.fifo_region)
-        self.cluster.active_threads.discard(run.thread.tid)
-        run.thread.advance(ThreadStatus.DONE)
         run.completed_at = now
-        del self.residents[run.thread.tid]
         self.system.on_thread_done(run, now)
 
 
@@ -452,8 +457,6 @@ class MainScheduler:
         self.pending: list[ThreadDescriptor] = []
         self.strict_algorithm = strict_algorithm
         self.decisions: list[Decision] = []
-        # Active thread count per (dag_id, cluster): guards LRU eviction.
-        self.active_dag_threads: dict[tuple[str, int], int] = {}
 
     # -- public queries -------------------------------------------------------
 
@@ -472,8 +475,7 @@ class MainScheduler:
         if not admitting:
             return None
         return min(admitting,
-                   key=lambda cid: (len(self.system.cluster_scheds[cid]
-                                        .cluster.active_threads), cid))
+                   key=lambda cid: (len(self.system.cluster_scheds[cid].runs), cid))
 
     def thread_manager_query(self, cluster_id: int, thread: ThreadDescriptor) -> bool:
         """Slot plus scratchpad headroom for the full dag+data bundle."""
@@ -488,11 +490,12 @@ class MainScheduler:
         Evictable means no live thread uses the entry and the owning cluster
         has a free thread slot. Ties pick the lowest cluster id.
         """
+        scheds = self.system.cluster_scheds
         candidates = [
             entry for entry in self.table.entries.values()
-            if self.active_dag_threads.get((entry.dag_id, entry.cluster_id), 0) == 0
-            and self.system.cluster_scheds[entry.cluster_id].slot_free()
+            if scheds[entry.cluster_id].slot_free()
             and self.system.cluster_covers(entry.cluster_id, thread.dag)
+            and not scheds[entry.cluster_id].runs_dag(entry.dag_id)
         ]
         if not candidates:
             return None
@@ -535,16 +538,17 @@ class MainScheduler:
 
     def _place(self, thread: ThreadDescriptor, cluster_id: int, now: int,
                decision_time: int, ship_dag: bool, register: bool) -> None:
-        """Reserve what ``_bundle_fits`` found room for, tag the input tokens
-        with their data regions, and ship the bundle."""
-        cluster = self.system.cluster_scheds[cluster_id].cluster
+        """Reserve what ``_bundle_fits`` found room for, enter the run with
+        its inputs tagged with their data regions, and ship the bundle."""
+        sched = self.system.cluster_scheds[cluster_id]
+        cluster = sched.cluster
         compute = cluster.sections["COMPUTE_DATA"]
-        thread.inputs = [dataclasses.replace(t, region=compute.alloc(t.byte_size))
-                         for t in thread.inputs]
-        run = ThreadRun(thread=thread, cluster_id=cluster_id,
+        inputs = [dataclasses.replace(t, region=compute.alloc(t.byte_size))
+                  for t in thread.inputs]
+        run = ThreadRun(thread=thread, cluster_id=cluster_id, inputs=inputs,
                         fifo_region=cluster.sections["FIFO_LISTS"].alloc(
                             _fifo_bytes(thread.dag)))
-        transfer_bytes = sum(t.byte_size for t in thread.inputs)
+        transfer_bytes = sum(t.byte_size for t in inputs)
         if ship_dag:
             dag_bytes = thread.dag.packed_bytes
             code_region = cluster.sections["TASK_CODE_POOL"].alloc(dag_bytes)
@@ -559,10 +563,7 @@ class MainScheduler:
             self.table.touch(thread.dag.dag_id, cluster_id, now)
             self.system.metrics.residency_hits += 1
         self.system.metrics.data_transfers += 1
-        key = (thread.dag.dag_id, cluster_id)
-        self.active_dag_threads[key] = self.active_dag_threads.get(key, 0) + 1
-        cluster.active_threads.add(thread.tid)
-        thread.advance(ThreadStatus.REGISTERED)
+        sched.runs[thread.tid] = run
         self.system.machine.main_transfer(
             decision_time, transfer_bytes, cluster_id, thread.tid,
             ctx=run)
@@ -612,12 +613,12 @@ class MainScheduler:
 
     def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> list[str]:
         """Free idle LRU entries on the cluster until the bundle would fit."""
-        cluster = self.system.cluster_scheds[cluster_id].cluster
+        sched = self.system.cluster_scheds[cluster_id]
+        cluster = sched.cluster
         evicted: list[str] = []
         while not cluster.sections["TASK_CODE_POOL"].would_fit(thread.dag.packed_bytes):
             idle = [e for e in self.table.entries.values()
-                    if e.cluster_id == cluster_id
-                    and self.active_dag_threads.get((e.dag_id, cluster_id), 0) == 0]
+                    if e.cluster_id == cluster_id and not sched.runs_dag(e.dag_id)]
             if not idle:
                 break
             victim = min(idle, key=lambda e: (e.last_used, e.dag_id))
@@ -628,9 +629,8 @@ class MainScheduler:
         return evicted
 
     def on_thread_done(self, run: ThreadRun, now: int) -> None:
-        key = (run.thread.dag.dag_id, run.cluster_id)
-        self.active_dag_threads[key] -= 1
-        cluster = self.system.cluster_scheds[run.cluster_id].cluster
+        sched = self.system.cluster_scheds[run.cluster_id]
+        cluster = sched.cluster
         if run.anon_code_region is not None:
             # Unregistered placement (literal control flow): nothing retains
             # the code once its thread ends.
@@ -638,10 +638,10 @@ class MainScheduler:
             return
         # A registered entry outlives its threads: eviction and eager
         # deletion only drop entries that no live thread uses.
-        entry = self.table.entries[key]
+        entry = self.table.entries[(run.thread.dag.dag_id, run.cluster_id)]
         if self.system.lazy_deletion:
             entry.last_used = now
-        elif self.active_dag_threads[key] == 0:
+        elif not sched.runs_dag(entry.dag_id):
             cluster.sections["TASK_CODE_POOL"].free_region(entry.code_region)
             self.table.drop(entry.dag_id, entry.cluster_id)
 
@@ -726,8 +726,7 @@ class System:
             self._tick_posted = True
 
     def _live_tids(self) -> list[int]:
-        return [t.tid for t in self.threads.values()
-                if t.status is not ThreadStatus.DONE]
+        return [tid for tid in self.threads if tid not in self.finished_runs]
 
     def _check_progress(self) -> None:
         """Fail fast when live threads exist but nothing can ever advance.
@@ -765,7 +764,6 @@ class System:
         elif kind is EventKind.DMA_DONE:
             self.metrics.dma_bytes += event.nbytes
             if isinstance(subject, ThreadRun):  # the thread's bundle
-                subject.thread.advance(ThreadStatus.RUNNING)
                 sched = self.cluster_scheds[subject.cluster_id]
                 sched.admit_instance(subject)
                 if subject.instance.is_complete():  # degenerate zero-task dag
@@ -789,6 +787,9 @@ class System:
         else:
             raise RuntimeError(f"unhandled event kind {event.kind}")
         self.machine.check_invariants()
+        for sched in self.cluster_scheds:
+            if len(sched.runs) > sched.cluster.max_threads:
+                raise RuntimeError(f"cluster {sched.cluster.cluster_id} over thread limit")
 
     def on_thread_done(self, run: ThreadRun, now: int) -> None:
         self.main.on_thread_done(run, now)

@@ -171,11 +171,6 @@ def tx_frames(link: LinkConfig, bits: np.ndarray, pilot: np.ndarray) -> np.ndarr
     return kernels.ofdm_modulate(freq, link.ofdm)
 
 
-def tx_slot_samples(link: LinkConfig, bits: np.ndarray) -> np.ndarray:
-    """Expected slot-assembly output: all users' samples concatenated."""
-    return tx_frames(link, bits, pilot_symbol_freq(link)).reshape(-1)
-
-
 def channel_bundle(link: LinkConfig, frames: np.ndarray,
                    rng: np.random.Generator) -> RxBundle:
     """Receive payload of ``tx_frames`` output passed through the channel."""
@@ -190,12 +185,6 @@ def channel_bundle(link: LinkConfig, frames: np.ndarray,
     per_user = tuple(tuple(frame) for frame in received.reshape(frames.shape))
     return RxBundle(per_user=per_user, user_count=frames.shape[0],
                     noise_var=noise_var)
-
-
-def rx_slot_input(link: LinkConfig, bits: np.ndarray,
-                  rng: np.random.Generator) -> RxBundle:
-    """Channel output for a slot carrying ``bits`` (one row per user)."""
-    return channel_bundle(link, tx_frames(link, bits, pilot_symbol_freq(link)), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +270,7 @@ def make_link_body(link: LinkConfig):
     """Returns the body function executing one task's kernel work."""
     n_sub = link.ofdm.n_subcarriers
     pilot_freq = pilot_symbol_freq(link)
+    pilot_time = kernels.ofdm_modulate(pilot_freq, link.ofdm)
     batches: dict[int, _DecodeBatch] = {}  # by thread id, while decoders remain
 
     def tx_encode(spec, payloads, thread):
@@ -301,9 +291,8 @@ def make_link_body(link: LinkConfig):
 
     def tx_ofdm(spec, payloads, thread):
         syms = payloads[0].reshape(link.data_symbols_per_user, n_sub)
-        parts = [kernels.ofdm_modulate(pilot_freq, link.ofdm)]
-        parts.extend(kernels.ofdm_modulate(block, link.ofdm) for block in syms)
-        out = np.concatenate(parts)
+        out = np.concatenate(
+            [pilot_time, kernels.ofdm_modulate(syms, link.ofdm).reshape(-1)])
         return BodyResult([make_token(out)], [("fft", n_sub, link.symbols_per_user)])
 
     def tx_assemble(spec, payloads, thread):

@@ -172,8 +172,7 @@ def test_push_pop_fifo_order_and_conservation():
     inst.push_token(0, second)
     got = inst.pop_inputs("t0")
     assert got == [first]
-    assert inst.push_counts[0] == 2
-    assert inst.pop_counts[0] + len(inst.fifos[0]) == inst.push_counts[0]
+    assert list(inst.fifos[0]) == [second]
 
 
 def test_push_beyond_capacity_backpressures():
@@ -306,14 +305,14 @@ def test_dag_file_errors():
 def test_token_conservation_property(sizes):
     dag = chain(1, cap=len(sizes)).freeze()
     inst = DagInstance(dag)
-    for n in sizes:
-        inst.push_token(0, tok(n))
-    pops = 0
+    pushed = [tok(n, payload=str(i)) for i, n in enumerate(sizes)]
+    for token in pushed:
+        inst.push_token(0, token)
+    popped = []
     while inst.is_ready("t0"):
-        inst.pop_inputs("t0")
-        pops += 1
-    assert inst.push_counts[0] == pops + len(inst.fifos[0])
-    assert pops == len(sizes)
+        popped.append(inst.pop_inputs("t0"))
+    assert popped == [[token] for token in pushed]
+    assert not inst.fifos[0]
 
 
 # -- incremental readiness against the oracle ------------------------------------

@@ -1,5 +1,6 @@
 """Thread-level scheduling (residency, admission, LRU) and task-level scans."""
 
+import dataclasses
 import functools
 import gc
 import weakref
@@ -9,12 +10,11 @@ import pytest
 from conftest import input_token, linear_dag, make_passthrough_body
 from wbpsim.costmodel import CostModel, CostParams
 from wbpsim.dag import Dag, TaskSpec, TaskState, Token
-from wbpsim.machine import (Machine, MachineConfig, RunState, SimulationStalled,
-                            SpmSection)
+from wbpsim.machine import (Event, EventKind, Machine, MachineConfig, RunState,
+                            SimulationStalled, SpmSection)
 from wbpsim.scheduler import (ClusterScheduler, Decision, DeploymentTable,
                               MainScheduler, Metrics, System, TableEntry,
-                              ThreadDescriptor, ThreadRun, ThreadStatus,
-                              mem_pack, mem_unpack)
+                              ThreadDescriptor, ThreadRun, mem_pack, mem_unpack)
 
 # One law so synthetic task cost is predictable; ref lanes match the L tile
 # so no lane scaling applies.
@@ -51,6 +51,15 @@ def one_task_dag(code_bytes=4096, tag="job"):
                           code_bytes=code_bytes))
     dag.add_edge("EXTERNAL", f"{tag}0")
     return dag.freeze()
+
+
+def in_flight(system, cluster_id, tid, dag):
+    """Enter a run of ``dag`` on the cluster whose bundle is still in flight;
+    it takes a thread slot and has no instance yet."""
+    run = ThreadRun(thread=thread(tid, dag), cluster_id=cluster_id,
+                    fifo_region=-1, inputs=[])
+    system.cluster_scheds[cluster_id].runs[tid] = run
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +121,10 @@ def test_thread_manager_query_slots_and_headroom():
     dag = one_task_dag()
     t = thread(0, dag)
     assert system.main.thread_manager_query(0, t)
-    system.machine.clusters[0].active_threads.update({100, 101})
+    for tid in (100, 101):
+        in_flight(system, 0, tid, dag)
     assert not system.main.thread_manager_query(0, t)
-    system.machine.clusters[0].active_threads.clear()
+    system.cluster_scheds[0].runs.clear()
     # COMPUTE_DATA nearly full relative to the payload
     big = system.machine.clusters[1].sections["COMPUTE_DATA"]
     big.alloc(big.capacity - 16)
@@ -168,7 +178,7 @@ def test_eviction_that_leaves_inputs_unfit_waits_without_leaks():
     assert list(sections["TASK_CODE_POOL"].allocations) == [entry.code_region]
     assert sections["FIFO_LISTS"].allocations == {}
     assert list(compute.allocations) == [filler]
-    assert system.machine.clusters[0].active_threads == set()
+    assert system.cluster_scheds[0].runs == {}
     system.machine.check_invariants()
 
 
@@ -176,15 +186,16 @@ def test_get_cluster_lru_picks_oldest_with_tiebreak():
     system = build_system()
     pool0 = system.machine.clusters[0].sections["TASK_CODE_POOL"]
     pool1 = system.machine.clusters[1].sections["TASK_CODE_POOL"]
-    system.main.table.record(TableEntry("dA", 1, last_used=9,
+    dag_a, dag_b = one_task_dag(tag="a"), one_task_dag(tag="b")
+    system.main.table.record(TableEntry(dag_a.dag_id, 1, last_used=9,
                                         code_region=pool1.alloc(100)))
-    system.main.table.record(TableEntry("dB", 0, last_used=5,
+    system.main.table.record(TableEntry(dag_b.dag_id, 0, last_used=5,
                                         code_region=pool0.alloc(100)))
     probe = thread(9, one_task_dag())
     assert system.main.get_cluster_lru(probe) == 0
-    system.main.table.entries[("dB", 0)].last_used = 9  # now a tie at 9
+    system.main.table.entries[(dag_b.dag_id, 0)].last_used = 9  # now a tie at 9
     assert system.main.get_cluster_lru(probe) == 0
-    system.main.active_dag_threads[("dB", 0)] = 1  # busy entries are skipped
+    in_flight(system, 0, 100, dag_b)  # busy entries are skipped
     assert system.main.get_cluster_lru(probe) == 1
 
 
@@ -211,7 +222,7 @@ def test_residency_hit_ships_data_only():
     assert system.metrics.residency_hits == 1
     assert system.main.decisions[0].action == "hit"
     assert system.main.decisions[0].cluster == 2
-    assert t.status is ThreadStatus.DONE
+    assert list(system.finished_runs) == [0]
 
 
 def test_finished_system_is_freed_without_cycle_collection():
@@ -227,6 +238,42 @@ def test_finished_system_is_freed_without_cycle_collection():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_thread_descriptor_is_read_only_after_a_run():
+    # The run, not the workload's descriptor, holds the region-tagged inputs.
+    system = build_system()
+    t = thread(0, one_task_dag())
+    system.submit(t)
+    system.run()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.inputs = []
+    assert [token.region for token in t.inputs] == [None]
+    assert system.finished_runs[0].inputs[0].region is not None
+
+
+def test_over_full_run_table_fails_the_event():
+    system = build_system()
+    for tid in range(3):  # max_threads is 2
+        in_flight(system, 1, tid, one_task_dag())
+    with pytest.raises(RuntimeError, match="^cluster 1 over thread limit$"):
+        system.handle(Event(time=0, kind=EventKind.SCHED_TICK))
+
+
+def test_admitting_or_finishing_a_run_out_of_turn_fails():
+    system = build_system()
+    dag = one_task_dag()
+    system.submit(thread(0, dag))
+    system.run()
+    done = system.finished_runs[0]
+    sched = system.cluster_scheds[done.cluster_id]
+    with pytest.raises(RuntimeError, match="finished twice"):
+        sched.finish_thread(done, 0)
+    with pytest.raises(RuntimeError, match="without a placement"):
+        sched.admit_instance(done)
+    live = resident(system, 1, dag)
+    with pytest.raises(RuntimeError, match="admitted twice"):
+        system.cluster_scheds[0].admit_instance(live)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +358,26 @@ def test_lazy_deletion_off_reships_every_serial_thread():
     assert system.metrics.residency_hits == 0
 
 
+def test_eager_deletion_keeps_code_until_the_last_overlapping_thread_ends():
+    config = small_config(clusters=1, max_threads=2)
+    system = build_system(config=config, lazy_deletion=False)
+    dag = one_task_dag()
+    pool = system.machine.clusters[0].sections["TASK_CODE_POOL"]
+    system.submit(thread(0, dag, arrival=0))
+    system.submit(thread(1, dag, arrival=1))
+    system._post_tick(config.sched_tick_cycles)
+    step_until(system, lambda: system.finished_runs)
+    assert list(system.finished_runs) == [0]
+    assert list(system.cluster_scheds[0].runs) == [1]
+    entry = system.main.table.entries[(dag.dag_id, 0)]
+    assert list(pool.allocations) == [entry.code_region]
+    system.machine.engine.run(system.handle)
+    assert list(system.finished_runs) == [0, 1]
+    assert system.main.table.entries == {}
+    assert pool.allocations == {}
+    assert [d.action for d in system.main.decisions] == ["admit", "hit"]
+
+
 def test_forced_eviction_alternating_dags():
     # Code pool fits one dag; two dags alternate, so after the first two
     # placements every new thread evicts the other dag.
@@ -334,7 +401,7 @@ def test_multithreading_bound_and_liveness():
     for tid in range(8):
         system.submit(thread(tid, dag, arrival=0))
     system.run()
-    assert all(t.status is ThreadStatus.DONE for t in system.threads.values())
+    assert system.finished_runs.keys() == system.threads.keys()
     assert system.metrics.data_transfers == 8
     assert system.metrics.backpressure_events > 0  # some threads had to wait
 
@@ -363,7 +430,7 @@ def test_full_load_indication_backs_off_dispatch():
         system = linear_threads_system(make_passthrough_body(), ("L", "L"),
                                        indication_bytes=indication_bytes)
         system.run()
-        assert all(t.status is ThreadStatus.DONE for t in system.threads.values())
+        assert system.finished_runs.keys() == system.threads.keys()
         assert all(len(run.instance.outputs["t2"]) == 1
                    for run in system.finished_runs.values())
         assert not any(d.action == "wait" for d in system.main.decisions)
@@ -437,7 +504,7 @@ def test_retrieval_that_fits_one_of_two_tokens_stalls_then_completes(monkeypatch
     task_run, started, before, after = calls[1]
     assert task_run.task_id == "a" and started
     assert len(set(task_run.output_regions)) == 2
-    assert system.threads[0].status is ThreadStatus.DONE
+    assert 0 in system.finished_runs
     assert system.metrics.retrieval_stalls == 1
     assert compute.allocations == {}
 
@@ -492,7 +559,7 @@ def test_scan_dispatches_at_most_available_tiles():
     system.submit(thread(1, dag_b, arrival=0))
     system.run()
     assert system.metrics.dispatched_tasks == 2
-    assert all(t.status is ThreadStatus.DONE for t in system.threads.values())
+    assert system.finished_runs.keys() == system.threads.keys()
 
 
 def test_busy_cycles_sum_the_cost_of_each_task_a_tile_ran(monkeypatch):
@@ -530,16 +597,20 @@ def resident(system, tid, dag):
               for _ in dag.external_input_edges()]
     run = ThreadRun(thread=ThreadDescriptor(tid=tid, dag=dag, inputs=inputs,
                                             arrival_time=0),
-                    cluster_id=0, fifo_region=0)
+                    cluster_id=0, fifo_region=0, inputs=inputs)
+    system.cluster_scheds[0].runs[tid] = run
     system.cluster_scheds[0].admit_instance(run)
     return run
 
 
 def walk_dispatch_time(sched, now, tid, task_id):
     """When a front-to-back walk over every WAITING/READY task of every
-    resident, whatever its attribute, reaches ``task_id`` of thread ``tid``."""
+    admitted run, whatever its attribute, reaches ``task_id`` of thread
+    ``tid``."""
     visits = 0
-    for run in sched.residents.values():
+    for run in sched.runs.values():
+        if run.instance is None:  # bundle in flight: nothing to walk
+            continue
         for task in run.thread.dag.topo_order:
             if run.instance.states[task] in (TaskState.WAITING, TaskState.READY):
                 visits += 1
@@ -586,6 +657,17 @@ def test_scan_charges_a_filtered_dispatch_as_the_full_walk():
     assert small.since == expected == 500 + (3 + 2) * 10
 
 
+def test_scan_charges_nothing_for_a_run_in_flight():
+    system = two_class_system()
+    sched = system.cluster_scheds[0]
+    in_flight(system, 0, 0, linear_dag(3))
+    resident(system, 1, linear_dag(3))
+    expected = walk_dispatch_time(sched, 500, 1, "t0")
+    [task_run] = sched.scan(500)
+    assert (task_run.run.thread.tid, task_run.task_id) == (1, "t0")
+    assert task_run.tile.since == expected == 500 + 1 * 10
+
+
 def test_dispatch_without_load_indication_room_leaves_the_tile_to_the_next_task(
         monkeypatch):
     system = two_class_system()
@@ -619,9 +701,11 @@ def test_no_free_slot_waits_without_a_fit_query(monkeypatch):
     # section for room.
     system = build_system()
     clusters = system.machine.clusters
+    held = one_task_dag(tag="held")
     for cluster in clusters:
-        cluster.active_threads.update(
-            100 + 10 * cluster.cluster_id + i for i in range(cluster.max_threads))
+        for i in range(cluster.max_threads):
+            in_flight(system, cluster.cluster_id,
+                      100 + 10 * cluster.cluster_id + i, held)
     dag = one_task_dag()
     threads = [thread(tid, dag) for tid in range(4)]
     system.main.pending.extend(threads)
@@ -647,11 +731,11 @@ def test_no_free_slot_waits_without_a_fit_query(monkeypatch):
     assert system.main.pending == threads
 
     # One free slot: the first thread takes it and the rest wait as before.
-    clusters[1].active_threads.remove(110)
+    del system.cluster_scheds[1].runs[110]
     system.main.evaluate(9)
     assert system.main.decisions[4:] == [Decision(9, 0, "admit", 1)] + [
         Decision(9, tid, "wait", -1, ()) for tid in (1, 2, 3)]
     assert system.metrics.backpressure_events == 7
     assert tries == [0]
     assert system.main.pending == threads[1:]
-    assert 0 in clusters[1].active_threads
+    assert 0 in system.cluster_scheds[1].runs

@@ -13,9 +13,9 @@ from wbpsim.dag import TaskSpec, TaskState
 from wbpsim.kernels import OfdmConfig, PolarCode
 from wbpsim.machine import MachineConfig
 from wbpsim.workload import (LinkConfig, TddPattern, build_rx_dag, build_tx_dag,
-                             make_link_body, payload_bytes, rx_slot_input,
-                             spawn_threads, throughput_mbps, tx_slot_samples,
-                             run_experiment)
+                             channel_bundle, make_link_body, payload_bytes,
+                             pilot_symbol_freq, spawn_threads, throughput_mbps,
+                             tx_frames, run_experiment)
 
 
 def small_link(users=3, snr=None, n=64, k=32, subcarriers=32, cp=8, iters=12):
@@ -253,9 +253,10 @@ def test_functional_chain_reference_consistency():
     link = small_link(users=2)
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, (2, link.polar.K), dtype=np.int8)
-    slot = tx_slot_samples(link, bits)
+    frames = tx_frames(link, bits, pilot_symbol_freq(link))
+    slot = frames.reshape(-1)
     assert slot.size == 2 * link.symbols_per_user * link.ofdm.symbol_len
-    bundle = rx_slot_input(link, bits, rng)
+    bundle = channel_bundle(link, frames, rng)
     assert bundle.user_count == 2
     np.testing.assert_array_equal(np.concatenate(
         [s for per_user in bundle.per_user for s in per_user]), slot)
