@@ -1,5 +1,6 @@
 """Kernel correctness against independent oracles and stated contracts."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -285,7 +286,7 @@ _LLR_VALUES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 9), st.integers(1, 3), st.integers(1, 6),
+@given(st.data(), st.integers(1, 9), st.integers(1, 20), st.integers(1, 6),
        st.booleans())
 def test_bp_decode_soft_matches_reference(data, n, batch, max_iters, early_exit):
     size = 1 << n
@@ -317,6 +318,43 @@ def test_bp_decode_soft_early_exit_matches_reference_on_noisy_short_frames():
         info = rng.integers(0, 2, code.K, dtype=np.int8)
         llr = 2.0 * (1.0 - 2.0 * K.polar_encode(info, code)) + rng.normal(0, 2.0, 64)
         _assert_matches_reference(llr[None, :], code, 30, True)
+
+
+def _workload_frames():
+    # Ten users' frames at 3 dB, where some rows converge before others, so
+    # the early-exit pin differs from the fixed-iteration one.
+    code = K.PolarCode.design(512, 256)
+    _, llr = _qpsk_awgn_llrs(code, 10, 3.0, np.random.default_rng(1), rate=0.5)
+    return code, llr
+
+
+def _noisy_short_frames():
+    rng = np.random.default_rng(1)
+    code = K.PolarCode.design(64, 32)
+    info = rng.integers(0, 2, (3, code.K), dtype=np.int8)
+    llr = 2.0 * (1.0 - 2.0 * K.polar_encode(info, code)) + rng.normal(0, 1.0, (3, 64))
+    llr[:, ::32] = 0.0
+    llr[1, 4] = -0.0
+    return code, llr
+
+
+# SHA-256 of the soft outputs' bytes: unlike the reference comparison, this
+# also fixes the sign of every zero.
+@pytest.mark.parametrize("frames,early_exit,sha", [
+    (_workload_frames, False,
+     "62349eece0fbafe2c7a4bab1e53544e1279f831f39e7e0a42e932fb5f85a8cf9"),
+    (_workload_frames, True,
+     "61144474a42a0164d172401428e3769f44d476feb0a68297696b75013399ccf3"),
+    (_noisy_short_frames, False,
+     "7f942359a0bc8fa7dcc5d5f3c111308357e32f1519429d4e0c9d2fa7d8ad210c"),
+    (_noisy_short_frames, True,
+     "0d67fd2259503fa2d3a9554b2d578768e961bc9797000507c98b673ba2ede753"),
+])
+def test_bp_decode_soft_bytes_golden(frames, early_exit, sha):
+    code, llr = frames()
+    soft = K.bp_decode_soft(llr, code, 30, early_exit)
+    assert soft.shape == llr.shape and soft.dtype == np.float64
+    assert hashlib.sha256(soft.tobytes()).hexdigest() == sha
 
 
 # ---------------------------------------------------------------------------
