@@ -248,7 +248,8 @@ class Dag:
 
     @property
     def packed_bytes(self) -> int:
-        """Header plus code: the dag part of a packed bundle (mem_pack)."""
+        """Header plus code: the dag part of the bundle that a placement ships
+        when the dag is not resident on the cluster."""
         return self._packed_bytes
 
     def external_input_edges(self) -> list[int]:

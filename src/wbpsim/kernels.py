@@ -12,14 +12,16 @@ transforms use numpy's FFT, and the polar encoder and the decoder's
 early-exit check share one in-place butterfly transform.
 
 Host speed still matters where a kernel dominates the simulator's own run
-time, and polar BP decoding does: one frame costs about 5k numpy calls on
-arrays of N/2 elements, so per-call overhead, not arithmetic, sets its
-speed. ``bp_decode_soft`` therefore keeps its messages in a
-constant-geometry layout (see its docstring), in which every stage reads
-contiguous halves and stride-2 views of arrays allocated once per call, and
-writes every result in place. The layout moves values, not arithmetic: the
-soft outputs equal those of the natural-order loop that the tests keep as
-the reference, bit for bit.
+time, and polar BP decoding does: a decode costs about 5k numpy calls,
+whatever the batch, so per-call overhead sets its speed. ``bp_decode_soft``
+therefore keeps each message level of the whole batch in one flat array, in
+a constant-geometry address order with the row as a digit between the
+position bits (see its docstring). Every stage then reads and writes
+contiguous halves and stride-2 views of 1-D arrays allocated once per call,
+in place, and the left messages of level 0, which no stage reads, are
+computed only when the result or the early-exit check needs them. The
+layout moves values, not arithmetic: the soft outputs equal those of the
+natural-order loop that the tests keep as the reference, bit for bit.
 """
 
 from __future__ import annotations
@@ -198,6 +200,15 @@ def _minsum_into(x: np.ndarray, y: np.ndarray, out: np.ndarray,
     np.maximum(mn, mx, out=out)
 
 
+def _llr_rows(llr) -> np.ndarray:
+    """LLRs as a (batch, N) array; one vector is a batch of one row."""
+    llr = as_llr(llr)
+    if llr.ndim > 2:
+        raise ValueError("expected one LLR vector or a (batch, N) array of them, "
+                         f"got shape {llr.shape}")
+    return np.atleast_2d(llr)
+
+
 def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
                    early_exit: bool = False) -> np.ndarray:
     """Min-sum belief propagation over the encoder factor graph.
@@ -211,62 +222,75 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     decisions; otherwise exactly ``max_iters`` iterations run and the right
     sweep skips stage n-1, whose output only that check reads.
 
-    Layout (constant geometry, after Pease 1968): message level s stores
-    natural position i at the position whose bits, from the most significant
-    down, are i[s], i[s+1], ..., i[n-1], i[0], ..., i[s-1]. Stage s pairs the
-    positions that differ in bit s only. That bit is the top bit of level s
-    and the bottom bit of level s+1, and the other bits keep one order in
-    both, so stage s reads level s as two contiguous halves ([:, :N/2],
-    [:, N/2:]) and level s+1 as its even and odd elements ([:, 0::2],
-    [:, 1::2]). In natural order each stage needs a differently shaped 4-D
-    view, and a ufunc call on such a view costs two to four times one on
-    contiguous halves. Levels 0 and n come out bit-reversed, so the channel
-    LLRs and the frozen prior enter through the bit reversal, and the result
-    and the early-exit decisions leave through it (it is its own inverse);
-    the early-exit check therefore re-encodes in natural order. The message
-    arrays, three half-size scratch arrays and the per-stage views are built
-    once per call, and every update is written in place.
+    Layout (constant geometry, after Pease 1968): message level s is one flat
+    array of batch * N values. Its address holds the digits, from the most
+    significant down, i[s], i[s+1], ..., i[n-1], r, i[0], ..., i[s-1], where
+    i is the natural position and r, one radix-batch digit, the row. Stage s
+    pairs the addresses that differ in bit i[s] only. That bit is the top
+    digit of level s and the bottom digit of level s+1, and the other digits
+    keep one order in both, so stage s reads level s as two contiguous halves
+    ([:batch*N/2], [batch*N/2:]) and level s+1 as its even and odd elements
+    ([0::2], [1::2]). Every ufunc operand is a 1-D array, which numpy runs
+    faster than a (batch, N/2) view of the same size, let alone the 4-D
+    views that natural order needs. Level n is the channel LLRs as (row,
+    bit-reversed position), and level 0 is (bit-reversed position, row), so
+    the frozen prior enters repeated once per row, and the result and the
+    early-exit decisions leave through ``.reshape(N, batch).T[:, perm]``
+    (the bit reversal ``perm`` is its own inverse); the early-exit check
+    therefore re-encodes in natural order. No stage reads the left messages
+    of level 0, only the result and the early-exit check do, so without
+    ``early_exit`` stage 0 of the left sweep runs in the last iteration
+    only. The message arrays, three half-size scratch arrays and the
+    per-stage views are built once per call, and every update is written in
+    place.
     """
-    llr = np.atleast_2d(as_llr(llr))
+    llr = _llr_rows(llr)
     batch, size = llr.shape
     if size != code.N:
         raise ValueError(f"expected {code.N} channel LLRs, got {size}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     stages = code.n
-    half = size // 2
+    half = batch * size // 2
     perm = _bit_reversal(stages)
 
-    left = np.zeros((stages + 1, batch, size))
-    right = np.zeros((stages + 1, batch, size))
-    left[stages] = llr[:, perm]
-    right[0][:, code.frozen_mask[perm] == 1] = FROZEN_LLR
-    t, mn, mx = np.empty((3, batch, half))
-    views = [(right[s][:, :half], right[s][:, half:],
-              left[s][:, :half], left[s][:, half:],
-              right[s + 1][:, 0::2], right[s + 1][:, 1::2],
-              left[s + 1][:, 0::2], left[s + 1][:, 1::2])
+    def natural(level: np.ndarray) -> np.ndarray:
+        return level.reshape(size, batch).T[:, perm]
+
+    left = np.zeros((stages + 1, 2 * half))
+    right = np.zeros((stages + 1, 2 * half))
+    left[stages] = llr[:, perm].ravel()
+    right[0] = np.repeat(np.where(code.frozen_mask[perm] == 1, FROZEN_LLR, 0.0), batch)
+    t, mn, mx = np.empty((3, half))
+    views = [(right[s][:half], right[s][half:],
+              left[s][:half], left[s][half:],
+              right[s + 1][0::2], right[s + 1][1::2],
+              left[s + 1][0::2], left[s + 1][1::2])
              for s in range(stages)]
     # Level n of the right messages feeds no stage, only the early-exit check.
     right_views = views if early_exit else views[:-1]
+    last_left_views = views[::-1]
+    left_views = last_left_views if early_exit else last_left_views[:-1]
 
-    for _ in range(max_iters):
+    for it in range(max_iters):
         for a, b, _, _, r_lo, r_hi, l_lo, l_hi in right_views:
             np.add(l_hi, b, out=t)
             _minsum_into(a, t, r_lo, mn, mx)
             _minsum_into(a, l_lo, t, mn, mx)
             np.add(t, b, out=r_hi)
-        for a, b, l_out_lo, l_out_hi, _, _, l_lo, l_hi in reversed(views):
+        for a, b, l_out_lo, l_out_hi, _, _, l_lo, l_hi in (
+                last_left_views if it == max_iters - 1 else left_views):
             np.add(l_hi, b, out=t)
             _minsum_into(l_lo, t, l_out_lo, mn, mx)
             _minsum_into(a, l_lo, t, mn, mx)
             np.add(t, l_hi, out=l_out_hi)
         if early_exit:
-            u_hat = (left[0] + right[0] < 0).astype(np.int8)[:, perm]
-            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)[:, perm]
-            if np.array_equal(_polar_transform(u_hat), x_hat):
+            u_hat = natural(left[0] + right[0] < 0).astype(np.int8, order="C")
+            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)
+            if np.array_equal(_polar_transform(u_hat),
+                              x_hat.reshape(batch, size)[:, perm]):
                 break
-    return (left[0] + right[0])[:, perm]
+    return natural(left[0] + right[0])
 
 
 def bp_decode(llr, code: PolarCode, max_iters: int = 30,
@@ -283,9 +307,9 @@ def bp_decode_many(llrs: np.ndarray, code: PolarCode, max_iters: int = 30,
                    chunk: int = 256) -> np.ndarray:
     """Batched hard-decision decode; rows of ``llrs`` are independent frames.
 
-    Rows are processed in chunks to keep the message arrays cache-resident.
+    Rows are processed in chunks to bound the message arrays' size.
     """
-    llrs = np.atleast_2d(as_llr(llrs))
+    llrs = _llr_rows(llrs)
     out = np.empty((llrs.shape[0], code.K), dtype=np.int8)
     for start in range(0, llrs.shape[0], chunk):
         soft = bp_decode_soft(llrs[start:start + chunk], code, max_iters)

@@ -70,8 +70,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .costmodel import CostModel
-from .dag import (ATTRIBUTES, PACK_HEADER_BYTES, Dag, DagInstance, TaskState,
-                  Token)
+from .dag import ATTRIBUTES, Dag, DagInstance, TaskState, Token
 from .machine import (TILE_CLASS_TIMING, ClusterState, Event, EventKind, Machine,
                       RunState, SimulationStalled, TileState)
 
@@ -131,46 +130,6 @@ class DeploymentTable:
 
     def touch(self, dag_id: str, cluster_id: int, now: int) -> None:
         self.entries[(dag_id, cluster_id)].last_used = now
-
-
-@dataclass(frozen=True)
-class PackedPayload:
-    """One contiguous bundle: header, serialized dag records, data tokens.
-
-    The modeled transfer size is header + dag code + token bytes; the record
-    fields exist so the bundle can be unpacked and checked in tests.
-    """
-
-    dag_id: str
-    task_records: tuple
-    edge_records: tuple
-    dismissal_records: tuple
-    tokens: tuple[Token, ...]
-    code_bytes: int
-
-    @property
-    def dag_bytes(self) -> int:
-        return PACK_HEADER_BYTES + self.code_bytes
-
-    @property
-    def byte_size(self) -> int:
-        return self.dag_bytes + sum(t.byte_size for t in self.tokens)
-
-
-def mem_pack(data_tokens: list[Token], dag: Dag) -> PackedPayload:
-    return PackedPayload(
-        dag_id=dag.dag_id,
-        task_records=tuple((t.task_id, t.kernel, t.attribute, t.code_bytes)
-                           for t in dag.tasks.values()),
-        edge_records=tuple((e.src, e.dst, e.capacity) for e in dag.edges),
-        dismissal_records=tuple((r.producer, r.group) for r in dag.rules),
-        tokens=tuple(data_tokens),
-        code_bytes=dag.total_code_bytes,
-    )
-
-
-def mem_unpack(payload: PackedPayload) -> tuple[str, tuple[Token, ...]]:
-    return payload.dag_id, payload.tokens
 
 
 @dataclass(slots=True)
@@ -418,15 +377,15 @@ class ClusterScheduler:
                     raise RuntimeError(
                         f"{task_id} produced no token for live successor {dst}")
                 continue
-            token = dataclasses.replace(token, region=next(region_iter))
+            token = Token(token.payload, token.byte_size, next(region_iter))
             if dst in instance.states and instance.states[dst] is TaskState.DISMISSED:
                 # Successor pruned after this body was computed; drop the token.
                 self.cluster.sections["COMPUTE_DATA"].free_region(token.region)
                 continue
             instance.push_token(edge_idx, token)
         if task_run.result.thread_output is not None:
-            token = dataclasses.replace(task_run.result.thread_output,
-                                        region=next(region_iter))
+            output = task_run.result.thread_output
+            token = Token(output.payload, output.byte_size, next(region_iter))
             instance.outputs.setdefault(task_id, []).append(token)
         if instance.is_complete():
             self.finish_thread(run, now)
@@ -543,7 +502,7 @@ class MainScheduler:
         sched = self.system.cluster_scheds[cluster_id]
         cluster = sched.cluster
         compute = cluster.sections["COMPUTE_DATA"]
-        inputs = [dataclasses.replace(t, region=compute.alloc(t.byte_size))
+        inputs = [Token(t.payload, t.byte_size, compute.alloc(t.byte_size))
                   for t in thread.inputs]
         run = ThreadRun(thread=thread, cluster_id=cluster_id, inputs=inputs,
                         fifo_region=cluster.sections["FIFO_LISTS"].alloc(

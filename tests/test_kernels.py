@@ -180,6 +180,23 @@ def test_bp_decode_early_exit_matches_fixed(rng):
     np.testing.assert_array_equal(fixed, early)
 
 
+@pytest.mark.parametrize("decode", [K.bp_decode_soft, K.bp_decode_many])
+def test_bp_decode_rejects_more_than_two_dimensions(decode):
+    code = K.PolarCode.design(8, 4)
+    with pytest.raises(ValueError) as err:
+        decode(np.zeros((2, 4, 8)), code)
+    assert str(err.value) == ("expected one LLR vector or a (batch, N) array of "
+                              "them, got shape (2, 4, 8)")
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_bp_decode_zero_rows(early_exit):
+    code = K.PolarCode.design(64, 32)
+    llr = np.zeros((0, code.N))
+    assert K.bp_decode_soft(llr, code, 30, early_exit).shape == (0, code.N)
+    assert K.bp_decode_many(llr, code).shape == (0, code.K)
+
+
 def _qpsk_awgn_llrs(code, frames, ebn0_db, rng, rate):
     info = rng.integers(0, 2, (frames, code.K), dtype=np.int8)
     coded = K.polar_encode(info, code)

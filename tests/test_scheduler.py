@@ -14,7 +14,7 @@ from wbpsim.machine import (Event, EventKind, Machine, MachineConfig, RunState,
                             SimulationStalled, SpmSection)
 from wbpsim.scheduler import (ClusterScheduler, Decision, DeploymentTable,
                               MainScheduler, Metrics, System, TableEntry,
-                              ThreadDescriptor, ThreadRun, mem_pack, mem_unpack)
+                              ThreadDescriptor, ThreadRun)
 
 # One law so synthetic task cost is predictable; ref lanes match the L tile
 # so no lane scaling applies.
@@ -63,25 +63,32 @@ def in_flight(system, cluster_id, tid, dag):
 
 
 # ---------------------------------------------------------------------------
-# mem_pack
+# placement transfer size
 
 
-def test_mem_pack_empty_data_is_header_plus_code():
+def main_transfer_sizes(system) -> list[int]:
+    """Byte counts of the main-DMA transfers that placements start, in order."""
+    sizes = []
+    transfer = system.machine.main_transfer
+
+    def recording(now, nbytes, *args, **kwargs):
+        sizes.append(nbytes)
+        return transfer(now, nbytes, *args, **kwargs)
+
+    system.machine.main_transfer = recording
+    return sizes
+
+
+def test_placement_ships_packed_dag_plus_input_bytes():
+    system = build_system()
+    sizes = main_transfer_sizes(system)
     dag = linear_dag(3, code_bytes=1000)
-    payload = mem_pack([], dag)
-    assert payload.byte_size == 32 + 3000
-    assert payload.dag_bytes == payload.byte_size == dag.packed_bytes
-
-
-def test_mem_pack_roundtrip_and_hand_summed_size():
-    dag = linear_dag(6, code_bytes=1000)
-    tokens = [Token(payload="a", byte_size=64), Token(payload="b", byte_size=32)]
-    payload = mem_pack(tokens, dag)
-    assert payload.byte_size == 32 + 6 * 1000 + 96
-    dag_id, back = mem_unpack(payload)
-    assert dag_id == dag.dag_id
-    assert [t.byte_size for t in back] == [64, 32]
-    assert [t.payload for t in back] == ["a", "b"]
+    assert dag.packed_bytes == 32 + 3 * 1000
+    system.submit(ThreadDescriptor(tid=0, dag=dag, inputs=[input_token(96)],
+                                   arrival_time=0))
+    system.run()
+    assert system.metrics.dag_transfers == 1
+    assert sizes == [dag.packed_bytes + 96]
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +218,12 @@ def test_residency_hit_ships_data_only():
     system = build_system()
     dag = one_task_dag()
     pool2 = system.machine.clusters[2].sections["TASK_CODE_POOL"]
-    payload = mem_pack([], dag)
     system.main.table.record(TableEntry(dag.dag_id, 2, last_used=0,
-                                        code_region=pool2.alloc(payload.dag_bytes)))
-    t = thread(0, dag)
-    system.submit(t)
+                                        code_region=pool2.alloc(dag.packed_bytes)))
+    sizes = main_transfer_sizes(system)
+    system.submit(thread(0, dag, nbytes=64))
     system.run()
+    assert sizes == [64]
     assert system.metrics.dag_transfers == 0
     assert system.metrics.data_transfers == 1
     assert system.metrics.residency_hits == 1
