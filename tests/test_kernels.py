@@ -345,6 +345,14 @@ def _workload_frames():
     return code, llr
 
 
+def _noiseless_frames():
+    # Ten users' noiseless frames, the input of every perfbench and
+    # acceptance run: the LLRs are +-2, as a unit-variance QPSK demod gives.
+    code = K.PolarCode.design(512, 256)
+    info = np.random.default_rng(1).integers(0, 2, (10, code.K), dtype=np.int8)
+    return code, 2.0 * (1.0 - 2.0 * K.polar_encode(info, code))
+
+
 def _noisy_short_frames():
     rng = np.random.default_rng(1)
     code = K.PolarCode.design(64, 32)
@@ -362,6 +370,10 @@ def _noisy_short_frames():
      "62349eece0fbafe2c7a4bab1e53544e1279f831f39e7e0a42e932fb5f85a8cf9"),
     (_workload_frames, True,
      "61144474a42a0164d172401428e3769f44d476feb0a68297696b75013399ccf3"),
+    (_noiseless_frames, False,
+     "9c60bdf2e37a783709b59777e4c2fcdd5cb60da2db5e39fce057873403c0261d"),
+    (_noiseless_frames, True,
+     "def7ff03d20ef6ce0a2670444387a24c6f32089111d142c203fe34743ae10da2"),
     (_noisy_short_frames, False,
      "7f942359a0bc8fa7dcc5d5f3c111308357e32f1519429d4e0c9d2fa7d8ad210c"),
     (_noisy_short_frames, True,
