@@ -12,16 +12,18 @@ transforms use numpy's FFT, and the polar encoder and the decoder's
 early-exit check share one in-place butterfly transform.
 
 Host speed still matters where a kernel dominates the simulator's own run
-time, and polar BP decoding does: a decode costs about 5k numpy calls,
+time, and polar BP decoding does: an iteration costs about 170 numpy calls,
 whatever the batch, so per-call overhead sets its speed. ``bp_decode_soft``
-therefore keeps each message level of the whole batch in one flat array, in
-a constant-geometry address order with the row as a digit between the
-position bits (see its docstring). Every stage then reads and writes
-contiguous halves and stride-2 views of 1-D arrays allocated once per call,
-in place, and the left messages of level 0, which no stage reads, are
-computed only when the result or the early-exit check needs them. The
-layout moves values, not arithmetic: the soft outputs equal those of the
-natural-order loop that the tests keep as the reference, bit for bit.
+therefore stops at the first iteration that leaves its messages bit-for-bit
+unchanged, as every later one would repeat it, and keeps each message level
+of the whole batch in one flat array, in a constant-geometry address order
+with the row as a digit between the position bits (see its docstring).
+Every stage then reads and writes contiguous halves and stride-2 views of
+1-D arrays allocated once per call, in place, and the left messages of
+level 0, which no stage reads, are computed only when the result or the
+early-exit check needs them. The layout moves values, not arithmetic: the
+soft outputs equal those of the natural-order loop that the tests keep as
+the reference, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ FROZEN_LLR = 1e9
 DEGENERATE_EPS = 1e-12
 
 MAX_USERS_PER_SLOT = 20
+
+# Rows that ``bp_decode_many`` hands ``bp_decode_soft`` at a time. Past a few
+# dozen rows the message arrays outgrow the caches and each row decodes more
+# slowly: on a 2-core Xeon with numpy 2.4.6, 2,000 noisy N=512 rows took
+# 1.7-2.0 s at 32 rows per call and 4.1-4.4 s at 256, with equal bits.
+BP_CHUNK_ROWS = 32
 
 
 class DegeneratePilotError(ValueError):
@@ -135,9 +143,12 @@ class PolarCode:
     def N(self) -> int:
         return 1 << self.n
 
-    @property
+    @functools.cached_property
     def info_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.frozen_mask == 0)
+        """Ascending unfrozen positions, computed once; read-only."""
+        positions = np.flatnonzero(self.frozen_mask == 0)
+        positions.setflags(write=False)
+        return positions
 
     @classmethod
     def design(cls, N: int, K: int, design_snr_db: float = 0.0) -> "PolarCode":
@@ -219,8 +230,21 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     positions carry a +FROZEN_LLR prior. Each iteration is a right sweep over
     stages 0..n-1, then a left sweep back. With ``early_exit`` the iteration
     stops once every row's hard decisions re-encode to the channel-side hard
-    decisions; otherwise exactly ``max_iters`` iterations run and the right
-    sweep skips stage n-1, whose output only that check reads.
+    decisions; without it the right sweep skips stage n-1, whose output only
+    that check reads.
+
+    The left messages of levels 1..n-1 are the only state that one iteration
+    hands the next: the right sweep recomputes every right level from the
+    frozen prior and them, and the left sweep recomputes them, and level 0,
+    from the right levels and the channel. So once an iteration leaves them
+    bit-for-bit unchanged, every later iteration would repeat it exactly,
+    and the decoder stops there, before ``max_iters``, with the output that
+    all ``max_iters`` iterations give, byte for byte. (With ``early_exit``
+    the check would then fail in every later iteration too.) Two copies of
+    the left messages alternate, one written by the iteration and one
+    holding the last one's, so the test copies nothing: it compares level 1
+    as integers every iteration, which also tells -0.0 from +0.0, and the
+    other levels only when level 1 repeats.
 
     Layout (constant geometry, after Pease 1968): message level s is one flat
     array of batch * N values. Its address holds the digits, from the most
@@ -257,40 +281,49 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     def natural(level: np.ndarray) -> np.ndarray:
         return level.reshape(size, batch).T[:, perm]
 
-    left = np.zeros((stages + 1, 2 * half))
+    # left[k]: the left messages written by iterations k, k + 2, ...
+    left = np.zeros((2, stages + 1, 2 * half))
     right = np.zeros((stages + 1, 2 * half))
-    left[stages] = llr[:, perm].ravel()
+    left[:, stages] = llr[:, perm].ravel()
     right[0] = np.repeat(np.where(code.frozen_mask[perm] == 1, FROZEN_LLR, 0.0), batch)
     t, mn, mx = np.empty((3, half))
-    views = [(right[s][:half], right[s][half:],
-              left[s][:half], left[s][half:],
-              right[s + 1][0::2], right[s + 1][1::2],
-              left[s + 1][0::2], left[s + 1][1::2])
-             for s in range(stages)]
+    views = [[(right[s][:half], right[s][half:],
+               copy[s][:half], copy[s][half:],
+               right[s + 1][0::2], right[s + 1][1::2],
+               copy[s + 1][0::2], copy[s + 1][1::2])
+              for s in range(stages)] for copy in left]
     # Level n of the right messages feeds no stage, only the early-exit check.
-    right_views = views if early_exit else views[:-1]
-    last_left_views = views[::-1]
-    left_views = last_left_views if early_exit else last_left_views[:-1]
+    right_stages = stages if early_exit else stages - 1
+    bits = left.view(np.int64)
+
+    def left_step(a, b, l_out_lo, l_out_hi, r_lo, r_hi, l_lo, l_hi):
+        np.add(l_hi, b, out=t)
+        _minsum_into(l_lo, t, l_out_lo, mn, mx)
+        _minsum_into(a, l_lo, t, mn, mx)
+        np.add(t, l_hi, out=l_out_hi)
 
     for it in range(max_iters):
-        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in right_views:
+        new, old = it % 2, 1 - it % 2
+        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in views[old][:right_stages]:
             np.add(l_hi, b, out=t)
             _minsum_into(a, t, r_lo, mn, mx)
             _minsum_into(a, l_lo, t, mn, mx)
             np.add(t, b, out=r_hi)
-        for a, b, l_out_lo, l_out_hi, _, _, l_lo, l_hi in (
-                last_left_views if it == max_iters - 1 else left_views):
-            np.add(l_hi, b, out=t)
-            _minsum_into(l_lo, t, l_out_lo, mn, mx)
-            _minsum_into(a, l_lo, t, mn, mx)
-            np.add(t, l_hi, out=l_out_hi)
+        for stage in views[new][:0:-1]:
+            left_step(*stage)
+        settled = (np.array_equal(bits[new, 1], bits[old, 1])
+                   and np.array_equal(bits[new, 2:stages], bits[old, 2:stages]))
+        if early_exit or settled or it == max_iters - 1:
+            left_step(*views[new][0])
+        if settled:
+            break
         if early_exit:
-            u_hat = natural(left[0] + right[0] < 0).astype(np.int8, order="C")
-            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)
+            u_hat = natural(left[new, 0] + right[0] < 0).astype(np.int8, order="C")
+            x_hat = (left[new, stages] + right[stages] < 0).astype(np.int8)
             if np.array_equal(_polar_transform(u_hat),
                               x_hat.reshape(batch, size)[:, perm]):
                 break
-    return natural(left[0] + right[0])
+    return natural(left[new, 0] + right[0])
 
 
 def bp_decode(llr, code: PolarCode, max_iters: int = 30,
@@ -303,17 +336,14 @@ def bp_decode(llr, code: PolarCode, max_iters: int = 30,
     return (soft[0, code.info_positions] < 0).astype(np.int8)
 
 
-def bp_decode_many(llrs: np.ndarray, code: PolarCode, max_iters: int = 30,
-                   chunk: int = 256) -> np.ndarray:
-    """Batched hard-decision decode; rows of ``llrs`` are independent frames.
-
-    Rows are processed in chunks to bound the message arrays' size.
-    """
+def bp_decode_many(llrs: np.ndarray, code: PolarCode, max_iters: int = 30) -> np.ndarray:
+    """Batched hard-decision decode; rows of ``llrs`` are independent frames,
+    decoded ``BP_CHUNK_ROWS`` at a time."""
     llrs = _llr_rows(llrs)
     out = np.empty((llrs.shape[0], code.K), dtype=np.int8)
-    for start in range(0, llrs.shape[0], chunk):
-        soft = bp_decode_soft(llrs[start:start + chunk], code, max_iters)
-        out[start:start + chunk] = (soft[:, code.info_positions] < 0)
+    for start in range(0, llrs.shape[0], BP_CHUNK_ROWS):
+        soft = bp_decode_soft(llrs[start:start + BP_CHUNK_ROWS], code, max_iters)
+        out[start:start + BP_CHUNK_ROWS] = (soft[:, code.info_positions] < 0)
     return out
 
 
@@ -456,11 +486,14 @@ def ofdm_modulate(freq, cfg: OfdmConfig) -> np.ndarray:
 
 
 def ofdm_demodulate(time, cfg: OfdmConfig) -> np.ndarray:
-    """Strip the cyclic prefix and transform back to subcarriers."""
+    """Strip the cyclic prefix and transform back to subcarriers.
+
+    Accepts a batch of symbols along the leading axes, samples last.
+    """
     time = as_complex(time)
-    if time.size != cfg.symbol_len:
-        raise ValueError(f"expected {cfg.symbol_len} samples, got {time.size}")
-    return fft(time[cfg.cp_len:])
+    if time.shape[-1] != cfg.symbol_len:
+        raise ValueError(f"expected {cfg.symbol_len} samples, got {time.shape[-1]}")
+    return fft(time[..., cfg.cp_len:])
 
 
 # ---------------------------------------------------------------------------

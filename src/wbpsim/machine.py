@@ -306,8 +306,6 @@ class TileState:
     tspm_capacity: int
     port: PortDirection = PortDirection.BUS
     run_state: RunState = RunState.IDLE
-    reset_active: bool = True
-    return_value_count: int = 0
     busy_cycles: int = 0  # summed RUNNING spans
     since: int = 0  # when run_state took effect
 
@@ -449,18 +447,15 @@ class Machine:
         if tile.port is not PortDirection.BUS:
             self._violate(f"tile {tile.tile_id}: DMA finished with port at core")
         tile.port = PortDirection.CORE
-        tile.reset_active = False
         _, cycles = self._jobs.get(tile.tile_id, (None, 0))
         self._post_job(tile, EventKind.TILE_DONE, start + cycles)
         return start
 
-    def tile_finish(self, tile: TileState, return_count: int) -> int:
-        """Record returns, port->BUS and interrupt; returns the interrupt time."""
+    def tile_finish(self, tile: TileState) -> int:
+        """Port->BUS and interrupt; returns the interrupt time."""
         self._advance(tile, RunState.RETURNING, self.engine.now)
         if tile.port is not PortDirection.CORE:
             self._violate(f"tile {tile.tile_id}: ran with port at bus")
-        tile.return_value_count = return_count
-        tile.reset_active = True
         tile.port = PortDirection.BUS
         interrupt_time = self.engine.now + self.config.dma.csr_write_cycles
         self._post_job(tile, EventKind.INTERRUPT, interrupt_time)

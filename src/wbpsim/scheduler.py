@@ -736,10 +736,7 @@ class System:
                 self.cluster_scheds[subject.run.cluster_id].complete_task(
                     subject, now)
         elif kind is EventKind.TILE_DONE:
-            returns = len(subject.result.returned_tokens())
-            if subject.result.scalar_return is not None:
-                returns += 1
-            self.machine.tile_finish(subject.tile, returns)
+            self.machine.tile_finish(subject.tile)
         elif kind is EventKind.INTERRUPT:
             self.cluster_scheds[subject.run.cluster_id].start_retrieval(
                 subject, now)

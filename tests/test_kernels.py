@@ -121,6 +121,14 @@ def test_polar_design_matches_known_frozen_set():
     assert set(np.flatnonzero(code.frozen_mask)) == {0, 1, 2, 4}
 
 
+def test_polar_info_positions_are_computed_once_and_read_only():
+    code = K.PolarCode.design(8, 4)
+    assert code.info_positions is code.info_positions
+    np.testing.assert_array_equal(code.info_positions, [3, 5, 6, 7])
+    with pytest.raises(ValueError):
+        code.info_positions[0] = 0
+
+
 def test_polar_encode_n2_identity_case():
     code = K.PolarCode.from_frozen_set(2, set())
     np.testing.assert_array_equal(K.polar_encode([1, 0], code), [1, 0])
@@ -229,7 +237,9 @@ def test_bp_decode_ber_non_increasing_with_snr(rng):
 
 
 def test_bp_decode_many_matches_single_frame_decodes(rng):
-    # 300 rows cross the 256-row chunk boundary of the batched path.
+    # 300 rows cross chunk boundaries of the batched path and end in a
+    # partial chunk.
+    assert 300 > K.BP_CHUNK_ROWS and 300 % K.BP_CHUNK_ROWS
     code = K.PolarCode.design(512, 256)
     _, llr = _qpsk_awgn_llrs(code, 300, 2.0, rng, rate=0.5)
     single = np.stack([K.bp_decode(row, code) for row in llr])
@@ -323,6 +333,47 @@ def test_bp_decode_soft_matches_reference_on_workload_frames(rng, early_exit):
                               code, 30, early_exit)
     _, noisy = _qpsk_awgn_llrs(code, 4, 1.0, rng, rate=0.5)
     _assert_matches_reference(noisy, code, 30, early_exit)
+
+
+@pytest.mark.parametrize("max_iters", range(1, 9))
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_bp_decode_soft_matches_reference_around_the_fixed_point(max_iters, early_exit):
+    # The noiseless frames' messages stop changing in iteration 5, so the
+    # decoder's stop comes after, on and before the last iteration.
+    code, llr = _noiseless_frames()
+    _assert_matches_reference(llr, code, max_iters, early_exit)
+
+
+def test_bp_decode_soft_stops_only_at_a_fixed_point(monkeypatch):
+    calls = []
+    minsum = K._minsum_into
+
+    def counting(*args):
+        calls.append(None)
+        minsum(*args)
+
+    monkeypatch.setattr(K, "_minsum_into", counting)
+    # 30 iterations of 8 right and 8 left stages at 2 min-sums each, plus
+    # the left stage 0 that only the last iteration runs.
+    full = 30 * 32 + 2
+    code, clean = _noiseless_frames()
+    K.bp_decode_soft(clean, code, 30)
+    assert len(calls) <= full // 3
+    # At 1 dB the messages still change in the 30th iteration.
+    _, noisy = _qpsk_awgn_llrs(code, 10, 1.0, np.random.default_rng(1), rate=0.5)
+    calls.clear()
+    K.bp_decode_soft(noisy, code, 30)
+    assert len(calls) == full
+
+
+def test_bp_decode_soft_does_not_stop_when_only_level_1_repeats():
+    # On this frame the left messages of level 1 repeat from one iteration
+    # to the next while deeper levels still change; a stop there would
+    # return different values.
+    code = K.PolarCode.from_frozen_set(16, {0, 3, 4, 5, 7, 8, 12, 13, 14})
+    llr = np.array([[0.5, -2.0, 3e-8, 3e-8, 0.5, -1e6, 0.0, -1e6,
+                     -1e-9, 1e6, -1e9, -2.0, 1e9, 2.0, -1e9, -0.0]])
+    _assert_matches_reference(llr, code, 30, False)
 
 
 def test_bp_decode_soft_early_exit_matches_reference_on_noisy_short_frames():
@@ -723,6 +774,18 @@ def test_ofdm_modulate_batch_equals_rows(rng):
     assert out.tobytes() == b"".join(K.ofdm_modulate(row, cfg).tobytes()
                                      for row in freq.reshape(-1, 32))
     assert K.ofdm_modulate(np.zeros((0, 3, 32)), cfg).shape == (0, 3, 40)
+
+
+def test_ofdm_demodulate_batch_equals_rows(rng):
+    cfg = K.OfdmConfig(n_subcarriers=32, cp_len=8)
+    time = rng.normal(size=(5, 3, 40)) + 1j * rng.normal(size=(5, 3, 40))
+    out = K.ofdm_demodulate(time, cfg)
+    assert out.shape == (5, 3, 32)
+    assert out.tobytes() == b"".join(K.ofdm_demodulate(row, cfg).tobytes()
+                                     for row in time.reshape(-1, 40))
+    assert K.ofdm_demodulate(np.zeros((0, 40)), cfg).shape == (0, 32)
+    with pytest.raises(ValueError, match="^expected 40 samples, got 32$"):
+        K.ofdm_demodulate(np.ones((2, 32)), cfg)
 
 
 @pytest.mark.parametrize("call,message", [

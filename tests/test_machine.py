@@ -283,7 +283,6 @@ def test_deploy_latency_arithmetic():
     assert start == event.time + 8
     assert start == 95
     assert tile.run_state is RunState.RUNNING and tile.port is PortDirection.CORE
-    assert not tile.reset_active
 
 
 def test_deploy_zero_bytes_latency():
@@ -320,9 +319,8 @@ def test_completion_protocol_and_interrupt_time():
     machine.engine.run_until(start + 300, posted.append)
     assert [e.kind for e in posted] == [EventKind.DMA_DONE, EventKind.TILE_DONE]
     assert posted[1].time == start + 300
-    interrupt_time = machine.tile_finish(tile, return_count=2)
+    interrupt_time = machine.tile_finish(tile)
     assert interrupt_time == start + 300 + 4
-    assert tile.return_value_count == 2
     assert tile.run_state is RunState.RETURNING and tile.port is PortDirection.BUS
     assert tile.busy_cycles == 300
     machine.engine.run_until(interrupt_time, posted.append)
@@ -349,7 +347,7 @@ PROTOCOL_STEPS = {
     "begin_deploy": (RunState.IDLE, lambda m, c, t: m.begin_deploy(
         c, t, 8, 8, 100, now=m.engine.now, ctx=None)),
     "finish_deploy": (RunState.LOADING, lambda m, c, t: m.finish_deploy(t)),
-    "tile_finish": (RunState.RUNNING, lambda m, c, t: m.tile_finish(t, 1)),
+    "tile_finish": (RunState.RUNNING, lambda m, c, t: m.tile_finish(t)),
     "release_tile": (RunState.RETURNING,
                      lambda m, c, t: m.release_tile(t, m.engine.now)),
 }
