@@ -295,6 +295,7 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     # Level n of the right messages feeds no stage, only the early-exit check.
     right_stages = stages if early_exit else stages - 1
     bits = left.view(np.int64)
+    same = np.empty(2 * half, dtype=bool)
 
     def left_step(a, b, l_out_lo, l_out_hi, r_lo, r_hi, l_lo, l_hi):
         np.add(l_hi, b, out=t)
@@ -311,7 +312,7 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
             np.add(t, b, out=r_hi)
         for stage in views[new][:0:-1]:
             left_step(*stage)
-        settled = (np.array_equal(bits[new, 1], bits[old, 1])
+        settled = (np.equal(bits[new, 1], bits[old, 1], out=same).all()
                    and np.array_equal(bits[new, 2:stages], bits[old, 2:stages]))
         if early_exit or settled or it == max_iters - 1:
             left_step(*views[new][0])
