@@ -238,13 +238,17 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     frozen prior and them, and the left sweep recomputes them, and level 0,
     from the right levels and the channel. So once an iteration leaves them
     bit-for-bit unchanged, every later iteration would repeat it exactly,
-    and the decoder stops there, before ``max_iters``, with the output that
-    all ``max_iters`` iterations give, byte for byte. (With ``early_exit``
-    the check would then fail in every later iteration too.) Two copies of
-    the left messages alternate, one written by the iteration and one
-    holding the last one's, so the test copies nothing: it compares level 1
-    as integers every iteration, which also tells -0.0 from +0.0, and the
-    other levels only when level 1 repeats.
+    and the decoder may stop before ``max_iters`` with the output that all
+    ``max_iters`` iterations give, byte for byte. (With ``early_exit``
+    the check would then fail in every later iteration too.) The test reads
+    the values as int64, which tells -0.0 from +0.0, and stays cheap on
+    batches that never settle: each iteration only sums level 1's integers,
+    a wrapping sum that an unchanged level must repeat. While that sum
+    repeats, levels 1..n-1 are copied, and an iteration that leaves them
+    equal to the copy ends the decode, at most one iteration after the
+    first that changed nothing. Copying every level each iteration, or
+    keeping a second set of left messages to compare with, made 1 dB
+    batches of 32 rows measurably slower.
 
     Layout (constant geometry, after Pease 1968): message level s is one flat
     array of batch * N values. Its address holds the digits, from the most
@@ -281,21 +285,24 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     def natural(level: np.ndarray) -> np.ndarray:
         return level.reshape(size, batch).T[:, perm]
 
-    # left[k]: the left messages written by iterations k, k + 2, ...
-    left = np.zeros((2, stages + 1, 2 * half))
+    left = np.zeros((stages + 1, 2 * half))
     right = np.zeros((stages + 1, 2 * half))
-    left[:, stages] = llr[:, perm].ravel()
+    left[stages] = llr[:, perm].ravel()
     right[0] = np.repeat(np.where(code.frozen_mask[perm] == 1, FROZEN_LLR, 0.0), batch)
     t, mn, mx = np.empty((3, half))
-    views = [[(right[s][:half], right[s][half:],
-               copy[s][:half], copy[s][half:],
-               right[s + 1][0::2], right[s + 1][1::2],
-               copy[s + 1][0::2], copy[s + 1][1::2])
-              for s in range(stages)] for copy in left]
+    views = [(right[s][:half], right[s][half:],
+              left[s][:half], left[s][half:],
+              right[s + 1][0::2], right[s + 1][1::2],
+              left[s + 1][0::2], left[s + 1][1::2])
+             for s in range(stages)]
     # Level n of the right messages feeds no stage, only the early-exit check.
-    right_stages = stages if early_exit else stages - 1
+    right_views = views if early_exit else views[:-1]
+    # Stage 0 of the left sweep feeds no stage either; it runs apart.
+    left_views = views[:0:-1]
     bits = left.view(np.int64)
-    same = np.empty(2 * half, dtype=bool)
+    # After the last iteration: the sum of level 1's bits (that of +0.0 is
+    # 0) and, while that sum repeats, a copy of levels 1..n-1.
+    checksum, snapshot = 0, None
 
     def left_step(a, b, l_out_lo, l_out_hi, r_lo, r_hi, l_lo, l_hi):
         np.add(l_hi, b, out=t)
@@ -304,27 +311,29 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
         np.add(t, l_hi, out=l_out_hi)
 
     for it in range(max_iters):
-        new, old = it % 2, 1 - it % 2
-        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in views[old][:right_stages]:
+        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in right_views:
             np.add(l_hi, b, out=t)
             _minsum_into(a, t, r_lo, mn, mx)
             _minsum_into(a, l_lo, t, mn, mx)
             np.add(t, b, out=r_hi)
-        for stage in views[new][:0:-1]:
+        for stage in left_views:
             left_step(*stage)
-        settled = (np.equal(bits[new, 1], bits[old, 1], out=same).all()
-                   and np.array_equal(bits[new, 2:stages], bits[old, 2:stages]))
+        total = bits[1].sum()
+        settled = (total == checksum and snapshot is not None
+                   and np.array_equal(bits[1:stages], snapshot))
+        snapshot = bits[1:stages].copy() if total == checksum else None
+        checksum = total
         if early_exit or settled or it == max_iters - 1:
-            left_step(*views[new][0])
+            left_step(*views[0])
         if settled:
             break
         if early_exit:
-            u_hat = natural(left[new, 0] + right[0] < 0).astype(np.int8, order="C")
-            x_hat = (left[new, stages] + right[stages] < 0).astype(np.int8)
+            u_hat = natural(left[0] + right[0] < 0).astype(np.int8, order="C")
+            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)
             if np.array_equal(_polar_transform(u_hat),
                               x_hat.reshape(batch, size)[:, perm]):
                 break
-    return natural(left[new, 0] + right[0])
+    return natural(left[0] + right[0])
 
 
 def bp_decode(llr, code: PolarCode, max_iters: int = 30,

@@ -338,13 +338,14 @@ def test_bp_decode_soft_matches_reference_on_workload_frames(rng, early_exit):
 @pytest.mark.parametrize("max_iters", range(1, 9))
 @pytest.mark.parametrize("early_exit", [False, True])
 def test_bp_decode_soft_matches_reference_around_the_fixed_point(max_iters, early_exit):
-    # The noiseless frames' messages stop changing in iteration 5, so the
-    # decoder's stop comes after, on and before the last iteration.
+    # The noiseless frames' messages stop changing in iteration 5 and the
+    # decoder stops in iteration 6, so max_iters 1-8 put the stop after, on
+    # and before the last iteration.
     code, llr = _noiseless_frames()
     _assert_matches_reference(llr, code, max_iters, early_exit)
 
 
-def test_bp_decode_soft_stops_only_at_a_fixed_point(monkeypatch):
+def test_bp_decode_soft_stops_early_only_on_frames_that_settle(monkeypatch):
     calls = []
     minsum = K._minsum_into
 
@@ -366,14 +367,22 @@ def test_bp_decode_soft_stops_only_at_a_fixed_point(monkeypatch):
     assert len(calls) == full
 
 
-def test_bp_decode_soft_does_not_stop_when_only_level_1_repeats():
-    # On this frame the left messages of level 1 repeat from one iteration
-    # to the next while deeper levels still change; a stop there would
-    # return different values.
-    code = K.PolarCode.from_frozen_set(16, {0, 3, 4, 5, 7, 8, 12, 13, 14})
-    llr = np.array([[0.5, -2.0, 3e-8, 3e-8, 0.5, -1e6, 0.0, -1e6,
-                     -1e-9, 1e6, -1e9, -2.0, 1e9, 2.0, -1e9, -0.0]])
-    _assert_matches_reference(llr, code, 30, False)
+# Frames whose messages repeat in part or return to an earlier state, with
+# no fixed point: on the first, level 1 repeats from one iteration to the
+# next while deeper levels still change; the second cycles through four
+# states from the first iteration on. A stop on either would return other
+# values than 30 iterations do.
+@pytest.mark.parametrize("frozen,llr", [
+    ({0, 3, 4, 5, 7, 8, 12, 13, 14},
+     [0.5, -2.0, 3e-8, 3e-8, 0.5, -1e6, 0.0, -1e6,
+      -1e-9, 1e6, -1e9, -2.0, 1e9, 2.0, -1e9, -0.0]),
+    ({0, 2, 7, 9, 13},
+     [1e-9, 0.0, -0.0, 0.5, 0.0, 2.0, -1e-9, -1e-9,
+      -1e6, 1e9, 0.0, -1e9, 3e-8, 1e9, 1e9, -1e-9]),
+], ids=["level-1-repeats", "cycle"])
+def test_bp_decode_soft_does_not_stop_short_of_a_fixed_point(frozen, llr):
+    code = K.PolarCode.from_frozen_set(16, frozen)
+    _assert_matches_reference(np.array([llr]), code, 30, False)
 
 
 def test_bp_decode_soft_early_exit_matches_reference_on_noisy_short_frames():
