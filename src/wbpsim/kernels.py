@@ -12,15 +12,15 @@ transforms use numpy's FFT, and the polar encoder and the decoder's
 early-exit check share one in-place butterfly transform.
 
 Host speed still matters where a kernel dominates the simulator's own run
-time, and polar BP decoding does: an iteration costs about 170 numpy calls,
+time, and polar BP decoding does: an iteration costs about 160 numpy calls,
 whatever the batch, so per-call overhead sets its speed. ``bp_decode_soft``
-therefore stops at the first iteration that leaves its messages bit-for-bit
-unchanged, as every later one would repeat it, and keeps each message level
-of the whole batch in one flat array, in a constant-geometry address order
-with the row as a digit between the position bits (see its docstring).
-Every stage then reads and writes contiguous halves and stride-2 views of
-1-D arrays allocated once per call, in place, and the left messages of
-level 0, which no stage reads, are computed only when the result or the
+therefore stops once an iteration leaves its messages bit-for-bit unchanged,
+as every later one would repeat it, and keeps each message level of the
+whole batch in one flat array, in a constant-geometry address order with
+the row as a digit between the position bits (see its docstring). Every
+stage then reads and writes contiguous halves and stride-2 views of 1-D
+arrays allocated once per call, in place, and the left messages of level
+0, which no stage reads, are computed only when the result or the
 early-exit check needs them. The layout moves values, not arithmetic: the
 soft outputs equal those of the natural-order loop that the tests keep as
 the reference, bit for bit.

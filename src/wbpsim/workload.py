@@ -22,8 +22,9 @@ to run decodes all rows with ``bp_decode_many``, each decoder returns its
 own user's bits, and the last one removes the entry. The model is unchanged:
 each decoder is still a task that is charged one frame. The host work is
 not: ``bp_decode_soft`` stops once an iteration leaves its messages
-bit-for-bit unchanged, which noiseless frames reach after five of the
-configured iterations, with the bits that all of them would give.
+bit-for-bit unchanged, with the bits that all ``bp_iters`` iterations would
+give. Noiseless N=512 frames get there in the fifth iteration, and the
+decoder stops in the sixth.
 """
 
 from __future__ import annotations
