@@ -8,8 +8,8 @@ and deterministic (randomness only enters through an explicit generator).
 
 The host only has to compute the right values: what a kernel costs on a
 tile comes from the cost model, not from how it is written here. So the
-transforms use numpy's FFT, and the polar encoder and the decoder's
-early-exit check share one in-place butterfly transform.
+transforms use numpy's FFT, and the polar encoder is an in-place
+butterfly transform.
 
 Host speed still matters where a kernel dominates the simulator's own run
 time, and polar BP decoding does: an iteration costs about 160 numpy calls,
@@ -20,10 +20,9 @@ whole batch in one flat array, in a constant-geometry address order with
 the row as a digit between the position bits (see its docstring). Every
 stage then reads and writes contiguous halves and stride-2 views of 1-D
 arrays allocated once per call, in place, and the left messages of level
-0, which no stage reads, are computed only when the result or the
-early-exit check needs them. The layout moves values, not arithmetic: the
-soft outputs equal those of the natural-order loop that the tests keep as
-the reference, bit for bit.
+0, which no stage reads, are computed in the last iteration only. The
+layout moves values, not arithmetic: the soft outputs equal those of the
+natural-order loop that the tests keep as the reference, bit for bit.
 """
 
 from __future__ import annotations
@@ -163,31 +162,24 @@ class PolarCode:
         return cls(n=n, K=N - len(frozen), frozen_mask=mask)
 
 
-def _polar_transform(u: np.ndarray) -> np.ndarray:
-    """x = u F^(x)n along the last axis, in place on a contiguous int8 array.
-
-    Natural (non-bit-reversed) order; returns ``u``, which now holds x.
-    """
-    lead, size = u.shape[:-1], u.shape[-1]
-    step = 1
-    while step < size:
-        view = u.reshape(lead + (size // (2 * step), 2, step))
-        view[..., 0, :] ^= view[..., 1, :]
-        step *= 2
-    return u
-
-
 def polar_encode(info, code: PolarCode) -> np.ndarray:
     """Encode info bits: u places them at unfrozen positions, x = u F^(x)n.
 
-    Natural (non-bit-reversed) output order. Accepts a batch as rows.
+    Natural (non-bit-reversed) output order. Accepts a batch as rows; the
+    butterflies run in place on u.
     """
     info = as_bits(info)
     if info.shape[-1] != code.K:
         raise ValueError(f"expected {code.K} info bits, got {info.shape[-1]}")
-    u = np.zeros(info.shape[:-1] + (code.N,), dtype=np.int8)
+    lead = info.shape[:-1]
+    u = np.zeros(lead + (code.N,), dtype=np.int8)
     u[..., code.info_positions] = info
-    return _polar_transform(u)
+    step = 1
+    while step < code.N:
+        view = u.reshape(lead + (code.N // (2 * step), 2, step))
+        view[..., 0, :] ^= view[..., 1, :]
+        step *= 2
+    return u
 
 
 @functools.lru_cache(maxsize=32)
@@ -220,18 +212,15 @@ def _llr_rows(llr) -> np.ndarray:
     return np.atleast_2d(llr)
 
 
-def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
-                   early_exit: bool = False) -> np.ndarray:
+def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30) -> np.ndarray:
     """Min-sum belief propagation over the encoder factor graph.
 
     ``llr`` has shape (batch, N); returns post-decoding LLRs of the input
     (u-domain) positions with the same shape. Messages flow left (toward u)
     and right (toward the channel) through the n butterfly stages; frozen
     positions carry a +FROZEN_LLR prior. Each iteration is a right sweep over
-    stages 0..n-1, then a left sweep back. With ``early_exit`` the iteration
-    stops once every row's hard decisions re-encode to the channel-side hard
-    decisions; without it the right sweep skips stage n-1, whose output only
-    that check reads.
+    stages 0..n-2 (the right messages of level n feed no stage), then a left
+    sweep back.
 
     The left messages of levels 1..n-1 are the only state that one iteration
     hands the next: the right sweep recomputes every right level from the
@@ -239,8 +228,7 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     from the right levels and the channel. So once an iteration leaves them
     bit-for-bit unchanged, every later iteration would repeat it exactly,
     and the decoder may stop before ``max_iters`` with the output that all
-    ``max_iters`` iterations give, byte for byte. (With ``early_exit``
-    the check would then fail in every later iteration too.) The test reads
+    ``max_iters`` iterations give, byte for byte. The test reads
     the values as int64, which tells -0.0 from +0.0, and stays cheap on
     batches that never settle: each iteration only sums level 1's integers,
     a wrapping sum that an unchanged level must repeat. While that sum
@@ -262,12 +250,10 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     faster than a (batch, N/2) view of the same size, let alone the 4-D
     views that natural order needs. Level n is the channel LLRs as (row,
     bit-reversed position), and level 0 is (bit-reversed position, row), so
-    the frozen prior enters repeated once per row, and the result and the
-    early-exit decisions leave through ``.reshape(N, batch).T[:, perm]``
-    (the bit reversal ``perm`` is its own inverse); the early-exit check
-    therefore re-encodes in natural order. No stage reads the left messages
-    of level 0, only the result and the early-exit check do, so without
-    ``early_exit`` stage 0 of the left sweep runs in the last iteration
+    the frozen prior enters repeated once per row, and the result leaves
+    through ``.reshape(N, batch).T[:, perm]`` (the bit reversal ``perm`` is
+    its own inverse). No stage reads the left messages of level 0, only the
+    result does, so stage 0 of the left sweep runs in the last iteration
     only. The message arrays, three half-size scratch arrays and the
     per-stage views are built once per call, and every update is written in
     place.
@@ -281,10 +267,6 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
     stages = code.n
     half = batch * size // 2
     perm = _bit_reversal(stages)
-
-    def natural(level: np.ndarray) -> np.ndarray:
-        return level.reshape(size, batch).T[:, perm]
-
     left = np.zeros((stages + 1, 2 * half))
     right = np.zeros((stages + 1, 2 * half))
     left[stages] = llr[:, perm].ravel()
@@ -295,9 +277,7 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
               right[s + 1][0::2], right[s + 1][1::2],
               left[s + 1][0::2], left[s + 1][1::2])
              for s in range(stages)]
-    # Level n of the right messages feeds no stage, only the early-exit check.
-    right_views = views if early_exit else views[:-1]
-    # Stage 0 of the left sweep feeds no stage either; it runs apart.
+    # Stage 0 of the left sweep feeds no stage; it runs apart.
     left_views = views[:0:-1]
     bits = left.view(np.int64)
     # After the last iteration: the sum of level 1's bits (that of +0.0 is
@@ -311,7 +291,7 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
         np.add(t, l_hi, out=l_out_hi)
 
     for it in range(max_iters):
-        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in right_views:
+        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in views[:-1]:
             np.add(l_hi, b, out=t)
             _minsum_into(a, t, r_lo, mn, mx)
             _minsum_into(a, l_lo, t, mn, mx)
@@ -323,26 +303,18 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30,
                    and np.array_equal(bits[1:stages], snapshot))
         snapshot = bits[1:stages].copy() if total == checksum else None
         checksum = total
-        if early_exit or settled or it == max_iters - 1:
+        if settled or it == max_iters - 1:
             left_step(*views[0])
-        if settled:
             break
-        if early_exit:
-            u_hat = natural(left[0] + right[0] < 0).astype(np.int8, order="C")
-            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)
-            if np.array_equal(_polar_transform(u_hat),
-                              x_hat.reshape(batch, size)[:, perm]):
-                break
-    return natural(left[0] + right[0])
+    return (left[0] + right[0]).reshape(size, batch).T[:, perm]
 
 
-def bp_decode(llr, code: PolarCode, max_iters: int = 30,
-              early_exit: bool = False) -> np.ndarray:
+def bp_decode(llr, code: PolarCode, max_iters: int = 30) -> np.ndarray:
     """Decode one LLR vector back to the K info bits (ascending position)."""
     llr = as_llr(llr)
     if llr.ndim != 1:
         raise ValueError("bp_decode takes a single LLR vector; see bp_decode_many")
-    soft = bp_decode_soft(llr[None, :], code, max_iters, early_exit)
+    soft = bp_decode_soft(llr[None, :], code, max_iters)
     return (soft[0, code.info_positions] < 0).astype(np.int8)
 
 

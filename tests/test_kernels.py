@@ -179,15 +179,6 @@ def test_bp_decode_all_frozen_empty_output():
     assert out.size == 0
 
 
-def test_bp_decode_early_exit_matches_fixed(rng):
-    code = K.PolarCode.design(64, 32)
-    info = rng.integers(0, 2, 32, dtype=np.int8)
-    llr = 20.0 * (1.0 - 2.0 * K.polar_encode(info, code))
-    fixed = K.bp_decode(llr, code, max_iters=30)
-    early = K.bp_decode(llr, code, max_iters=30, early_exit=True)
-    np.testing.assert_array_equal(fixed, early)
-
-
 @pytest.mark.parametrize("decode", [K.bp_decode_soft, K.bp_decode_many])
 def test_bp_decode_rejects_more_than_two_dimensions(decode):
     code = K.PolarCode.design(8, 4)
@@ -197,11 +188,10 @@ def test_bp_decode_rejects_more_than_two_dimensions(decode):
                               "them, got shape (2, 4, 8)")
 
 
-@pytest.mark.parametrize("early_exit", [False, True])
-def test_bp_decode_zero_rows(early_exit):
+def test_bp_decode_zero_rows():
     code = K.PolarCode.design(64, 32)
     llr = np.zeros((0, code.N))
-    assert K.bp_decode_soft(llr, code, 30, early_exit).shape == (0, code.N)
+    assert K.bp_decode_soft(llr, code, 30).shape == (0, code.N)
     assert K.bp_decode_many(llr, code).shape == (0, code.K)
 
 
@@ -260,8 +250,8 @@ def _butterfly(arr: np.ndarray, step: int) -> np.ndarray:
     return arr.reshape(batch, size // (2 * step), 2, step)
 
 
-def _reference_bp_decode_soft(llr: np.ndarray, code: K.PolarCode, max_iters: int = 30,
-                              early_exit: bool = False) -> np.ndarray:
+def _reference_bp_decode_soft(llr: np.ndarray, code: K.PolarCode,
+                              max_iters: int = 30) -> np.ndarray:
     """Min-sum BP with messages in natural index order: the same schedule and
     per-element arithmetic as the kernel, one stage at a time through 4-D
     butterfly views."""
@@ -291,17 +281,12 @@ def _reference_bp_decode_soft(llr: np.ndarray, code: K.PolarCode, max_iters: int
             l_lo, l_hi = l_in[:, :, 0], l_in[:, :, 1]
             l_out[:, :, 0] = _minsum(l_lo, l_hi + b)
             l_out[:, :, 1] = _minsum(a, l_lo) + l_hi
-        if early_exit:
-            u_hat = (left[0] + right[0] < 0).astype(np.int8)
-            x_hat = (left[stages] + right[stages] < 0).astype(np.int8)
-            if np.array_equal(K._polar_transform(u_hat), x_hat):
-                break
     return left[0] + right[0]
 
 
-def _assert_matches_reference(llr, code, max_iters, early_exit):
-    got = K.bp_decode_soft(llr, code, max_iters, early_exit)
-    want = _reference_bp_decode_soft(llr, code, max_iters, early_exit)
+def _assert_matches_reference(llr, code, max_iters):
+    got = K.bp_decode_soft(llr, code, max_iters)
+    want = _reference_bp_decode_soft(llr, code, max_iters)
     # array_equal treats -0.0 == 0.0: min-sum may differ in the sign of a zero.
     assert np.array_equal(got, want)
     np.testing.assert_array_equal(got < 0, want < 0)
@@ -313,36 +298,33 @@ _LLR_VALUES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 9), st.integers(1, 20), st.integers(1, 6),
-       st.booleans())
-def test_bp_decode_soft_matches_reference(data, n, batch, max_iters, early_exit):
+@given(st.data(), st.integers(1, 9), st.integers(1, 20), st.integers(1, 6))
+def test_bp_decode_soft_matches_reference(data, n, batch, max_iters):
     size = 1 << n
     mask = data.draw(hnp.arrays(np.int8, size, elements=st.integers(0, 1)),
                      label="frozen_mask")
     code = K.PolarCode(n=n, K=size - int(mask.sum()), frozen_mask=mask)
     llr = data.draw(hnp.arrays(np.float64, (batch, size), elements=_LLR_VALUES),
                     label="llr")
-    _assert_matches_reference(llr, code, max_iters, early_exit)
+    _assert_matches_reference(llr, code, max_iters)
 
 
-@pytest.mark.parametrize("early_exit", [False, True])
-def test_bp_decode_soft_matches_reference_on_workload_frames(rng, early_exit):
+def test_bp_decode_soft_matches_reference_on_workload_frames(rng):
     code = K.PolarCode.design(512, 256)
     info = rng.integers(0, 2, (3, code.K), dtype=np.int8)
     _assert_matches_reference(2.0 * (1.0 - 2.0 * K.polar_encode(info, code)),
-                              code, 30, early_exit)
+                              code, 30)
     _, noisy = _qpsk_awgn_llrs(code, 4, 1.0, rng, rate=0.5)
-    _assert_matches_reference(noisy, code, 30, early_exit)
+    _assert_matches_reference(noisy, code, 30)
 
 
 @pytest.mark.parametrize("max_iters", range(1, 9))
-@pytest.mark.parametrize("early_exit", [False, True])
-def test_bp_decode_soft_matches_reference_around_the_fixed_point(max_iters, early_exit):
+def test_bp_decode_soft_matches_reference_around_the_fixed_point(max_iters):
     # The noiseless frames' messages stop changing in iteration 5 and the
     # decoder stops in iteration 6, so max_iters 1-8 put the stop after, on
     # and before the last iteration.
     code, llr = _noiseless_frames()
-    _assert_matches_reference(llr, code, max_iters, early_exit)
+    _assert_matches_reference(llr, code, max_iters)
 
 
 def test_bp_decode_soft_stops_early_only_on_frames_that_settle(monkeypatch):
@@ -382,24 +364,11 @@ def test_bp_decode_soft_stops_early_only_on_frames_that_settle(monkeypatch):
 ], ids=["level-1-repeats", "cycle"])
 def test_bp_decode_soft_does_not_stop_short_of_a_fixed_point(frozen, llr):
     code = K.PolarCode.from_frozen_set(16, frozen)
-    _assert_matches_reference(np.array([llr]), code, 30, False)
-
-
-def test_bp_decode_soft_early_exit_matches_reference_on_noisy_short_frames():
-    # The early-exit check reads the channel-side messages of the last right
-    # stage, which the sweep computes only for that check; on these frames
-    # the exit iteration depends on them.
-    rng = np.random.default_rng(1)
-    code = K.PolarCode.design(64, 32)
-    for _ in range(8):
-        info = rng.integers(0, 2, code.K, dtype=np.int8)
-        llr = 2.0 * (1.0 - 2.0 * K.polar_encode(info, code)) + rng.normal(0, 2.0, 64)
-        _assert_matches_reference(llr[None, :], code, 30, True)
+    _assert_matches_reference(np.array([llr]), code, 30)
 
 
 def _workload_frames():
-    # Ten users' frames at 3 dB, where some rows converge before others, so
-    # the early-exit pin differs from the fixed-iteration one.
+    # Ten users' frames at 3 dB, where some rows converge before others.
     code = K.PolarCode.design(512, 256)
     _, llr = _qpsk_awgn_llrs(code, 10, 3.0, np.random.default_rng(1), rate=0.5)
     return code, llr
@@ -425,23 +394,17 @@ def _noisy_short_frames():
 
 # SHA-256 of the soft outputs' bytes: unlike the reference comparison, this
 # also fixes the sign of every zero.
-@pytest.mark.parametrize("frames,early_exit,sha", [
-    (_workload_frames, False,
+@pytest.mark.parametrize("frames,sha", [
+    (_workload_frames,
      "62349eece0fbafe2c7a4bab1e53544e1279f831f39e7e0a42e932fb5f85a8cf9"),
-    (_workload_frames, True,
-     "61144474a42a0164d172401428e3769f44d476feb0a68297696b75013399ccf3"),
-    (_noiseless_frames, False,
+    (_noiseless_frames,
      "9c60bdf2e37a783709b59777e4c2fcdd5cb60da2db5e39fce057873403c0261d"),
-    (_noiseless_frames, True,
-     "def7ff03d20ef6ce0a2670444387a24c6f32089111d142c203fe34743ae10da2"),
-    (_noisy_short_frames, False,
+    (_noisy_short_frames,
      "7f942359a0bc8fa7dcc5d5f3c111308357e32f1519429d4e0c9d2fa7d8ad210c"),
-    (_noisy_short_frames, True,
-     "0d67fd2259503fa2d3a9554b2d578768e961bc9797000507c98b673ba2ede753"),
 ])
-def test_bp_decode_soft_bytes_golden(frames, early_exit, sha):
+def test_bp_decode_soft_bytes_golden(frames, sha):
     code, llr = frames()
-    soft = K.bp_decode_soft(llr, code, 30, early_exit)
+    soft = K.bp_decode_soft(llr, code, 30)
     assert soft.shape == llr.shape and soft.dtype == np.float64
     assert hashlib.sha256(soft.tobytes()).hexdigest() == sha
 
