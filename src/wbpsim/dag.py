@@ -27,25 +27,20 @@ ATTRIBUTES = ("LARGE", "SMALL", "ANY")
 
 class TaskState(enum.Enum):
     WAITING = "waiting"
-    READY = "ready"
     DISPATCHED = "dispatched"
     RUNNING = "running"
     DONE = "done"
     DISMISSED = "dismissed"
 
 
-# Legal forward transitions; dismissal is allowed from any pre-dispatch state.
+# Legal forward transitions; dismissal is allowed only before dispatch.
 _TRANSITIONS = {
-    TaskState.WAITING: {TaskState.READY, TaskState.DISMISSED},
-    TaskState.READY: {TaskState.DISPATCHED, TaskState.DISMISSED},
+    TaskState.WAITING: {TaskState.DISPATCHED, TaskState.DISMISSED},
     TaskState.DISPATCHED: {TaskState.RUNNING},
     TaskState.RUNNING: {TaskState.DONE},
     TaskState.DONE: set(),
     TaskState.DISMISSED: set(),
 }
-
-# States a scan still visits: not yet dispatched or dismissed.
-_PENDING = (TaskState.WAITING, TaskState.READY)
 
 
 @dataclass(frozen=True)
@@ -271,15 +266,11 @@ class DagInstance:
       (``pop_inputs``), and when a producer is dismissed: its empty output
       edges stop being live, which is the arity adjustment that lets a join
       fire once the surviving producers have delivered.
-    - ``_pending`` holds the sorted topological indices of the WAITING/READY
+    - ``_pending`` holds the sorted topological indices of the WAITING
       tasks; a task leaves it when it is dispatched or dismissed.
     - ``_ready[attribute]`` holds the indices in ``_pending`` with nothing
       missing, split by task attribute, so a scan can rank only the tasks
       an idle tile can take.
-
-    "Ready" here means ``missing`` is zero, not the READY state: a scheduler
-    moves a task WAITING -> READY only when its scan reaches or dispatches
-    it, and nothing but the transition table reads that state.
 
     ``is_ready`` and ``live_in_edges`` recompute readiness from scratch and
     serve as the oracle for this state.
@@ -313,7 +304,7 @@ class DagInstance:
         """One more live input of ``task_id`` has a token (or stopped being live)."""
         if task_id in self.missing:
             self.missing[task_id] -= 1
-            if self.missing[task_id] == 0 and self.states[task_id] in _PENDING:
+            if self.missing[task_id] == 0 and self.states[task_id] is TaskState.WAITING:
                 self._ready[self.dag.tasks[task_id].attribute].add(
                     self.dag._topo_index[task_id])
 
@@ -328,7 +319,7 @@ class DagInstance:
         return out
 
     def is_ready(self, task_id: str) -> bool:
-        if self.states[task_id] not in _PENDING:
+        if self.states[task_id] is not TaskState.WAITING:
             return False
         return all(self.fifos[idx] for idx in self.live_in_edges(task_id))
 
@@ -340,7 +331,7 @@ class DagInstance:
         """(rank, task) of each ready task of ``attributes``, in topological
         order.
 
-        ``rank`` is the task's 1-based position among all WAITING/READY tasks
+        ``rank`` is the task's 1-based position among all WAITING tasks
         in topological order, i.e. how many of them a front-to-back walk
         visits up to and including this one, whatever their attributes.
         """
@@ -353,7 +344,7 @@ class DagInstance:
 
     @property
     def pending_count(self) -> int:
-        """Number of WAITING/READY tasks."""
+        """Number of WAITING tasks."""
         return len(self._pending)
 
     def push_token(self, edge_idx: int, token: Token) -> None:

@@ -19,10 +19,10 @@ times dispatch in posting order. A thread keeps no status: it is in
 ``MainScheduler.pending``, in one ``runs`` table or in ``System.finished_runs``.
 
 The modeled scan walks each instance's tasks in topological order and pays
-``scan_visit_cycles`` for every WAITING/READY task it passes, so a dispatch
+``scan_visit_cycles`` for every WAITING task it passes, so a dispatch
 leaves at ``now + visits * scan_visit_cycles``. The host does not walk.
 Each ``DagInstance`` keeps the sorted topological indices of its
-WAITING/READY tasks and its ready tasks split by attribute, and the scan
+WAITING tasks and its ready tasks split by attribute, and the scan
 reaches only the ready tasks whose attribute some idle tile takes. A pass
 on a cluster without an idle tile reaches nothing, and a pass ends once
 each attribute it started with has found no idle tile. A task's ``visits``
@@ -32,11 +32,6 @@ attribute, taken when the scan starts. That equals the walk's count, because a d
 the dispatched task's inputs and so changes no other task's readiness
 during the scan. It also only makes a tile busy, so a task skipped for want
 of a tile would have found none in the walk either.
-
-The scan flips a task WAITING -> READY only when it reaches it, and a
-dispatch needs READY; a skipped task stays WAITING, ready or not. Nothing
-but the transition table reads READY, so no digest, CSV row or counter sees
-when the flip happens.
 
 A placement needs a free thread slot on its cluster: the residency hit and
 the admission query ask ``slot_free``, and the LRU path evicts only on a
@@ -260,7 +255,7 @@ class ClusterScheduler:
         """One pass over admitted instances; dispatches what fits right now.
 
         Only ready tasks whose attribute has an idle tile are touched, but
-        each dispatch is charged as if the pass had walked every WAITING/READY
+        each dispatch is charged as if the pass had walked every WAITING
         task of the earlier instances and of its own up to it (see the module
         docstring). A run whose bundle is in flight has no instance and
         costs nothing.
@@ -284,8 +279,6 @@ class ClusterScheduler:
                 attribute = tasks[task_id].attribute
                 if attribute not in open_attrs:
                     continue
-                if instance.states[task_id] is TaskState.WAITING:
-                    instance.set_state(task_id, TaskState.READY)
                 tile = self.select_tile(attribute)
                 if tile is None:
                     open_attrs.discard(attribute)

@@ -209,7 +209,6 @@ def fan_out_dag(group_size=20):
 
 def run_producer(inst):
     inst.push_token(0, tok())
-    inst.set_state("blind", TaskState.READY)
     inst.set_state("blind", TaskState.DISPATCHED)
     inst.set_state("blind", TaskState.RUNNING)
     inst.set_state("blind", TaskState.DONE)
@@ -238,7 +237,6 @@ def test_dismissal_adjusts_join_arity():
     edge = dag.in_edges("sink")[0]
     assert dag.edges[edge].src == "dec00"
     inst.push_token(edge, tok())
-    inst.set_state("dec00", TaskState.READY)
     inst.set_state("dec00", TaskState.DISPATCHED)
     inst.set_state("dec00", TaskState.RUNNING)
     inst.set_state("dec00", TaskState.DONE)
@@ -253,7 +251,6 @@ def test_dismissal_rejects_bad_count_and_dispatched_members():
     with pytest.raises(ValueError):
         inst.apply_dismissal(dag.dismissal_rule("blind"), 3)
     inst.push_token(dag.in_edges("dec00")[0], tok())
-    inst.set_state("dec00", TaskState.READY)
     inst.set_state("dec00", TaskState.DISPATCHED)
     with pytest.raises(RuntimeError):
         inst.apply_dismissal(dag.dismissal_rule("blind"), 0)
@@ -266,7 +263,6 @@ def test_is_complete_accounts_dismissed():
     run_producer(inst)
     inst.apply_dismissal(dag.dismissal_rule("blind"), 0)
     for tid in ("sink",):
-        inst.set_state(tid, TaskState.READY)
         inst.set_state(tid, TaskState.DISPATCHED)
         inst.set_state(tid, TaskState.RUNNING)
         inst.set_state(tid, TaskState.DONE)
@@ -341,16 +337,14 @@ def small_rx_dag():
 
 READINESS_DAGS = {"diamond": diamond_with_dismissal(), "rx": small_rx_dag()}
 # Forward path of a task that is not dismissed.
-NEXT_STATE = {TaskState.WAITING: TaskState.READY,
-              TaskState.READY: TaskState.DISPATCHED,
+NEXT_STATE = {TaskState.WAITING: TaskState.DISPATCHED,
               TaskState.DISPATCHED: TaskState.RUNNING,
               TaskState.RUNNING: TaskState.DONE}
 
 
 def assert_readiness_matches_oracle(inst):
     order = inst.dag.topo_order
-    pending = [t for t in order
-               if inst.states[t] in (TaskState.WAITING, TaskState.READY)]
+    pending = [t for t in order if inst.states[t] is TaskState.WAITING]
     assert inst.ready_tasks() == {t for t in order if inst.is_ready(t)}
     assert inst.ready_ranks() == [(pending.index(t) + 1, t)
                                   for t in pending if inst.is_ready(t)]
@@ -389,7 +383,7 @@ def test_incremental_readiness_matches_oracle(name, ops):
                     inst.pop_inputs(task)
         elif op == "advance" and state in NEXT_STATE:
             inst.set_state(task, NEXT_STATE[state])
-        elif op == "dismiss" and state in (TaskState.WAITING, TaskState.READY):
+        elif op == "dismiss" and state is TaskState.WAITING:
             inst.set_state(task, TaskState.DISMISSED)
         elif op == "apply" and dag.rules:
             rule = dag.rules[pick % len(dag.rules)]

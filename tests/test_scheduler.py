@@ -611,7 +611,7 @@ def resident(system, tid, dag):
 
 
 def walk_dispatch_time(sched, now, tid, task_id):
-    """When a front-to-back walk over every WAITING/READY task of every
+    """When a front-to-back walk over every WAITING task of every
     admitted run, whatever its attribute, reaches ``task_id`` of thread
     ``tid``."""
     visits = 0
@@ -619,7 +619,7 @@ def walk_dispatch_time(sched, now, tid, task_id):
         if run.instance is None:  # bundle in flight: nothing to walk
             continue
         for task in run.thread.dag.topo_order:
-            if run.instance.states[task] in (TaskState.WAITING, TaskState.READY):
+            if run.instance.states[task] is TaskState.WAITING:
                 visits += 1
                 if (run.thread.tid, task) == (tid, task_id):
                     return now + visits * sched.system.machine.config.scan_visit_cycles
@@ -635,7 +635,7 @@ def test_scan_without_an_idle_tile_changes_nothing():
     assert run.instance.ready_tasks() == {"t0"}
     states = dict(run.instance.states)
     assert sched.scan(0) == []
-    assert run.instance.states == states  # t0 was not even flipped to READY
+    assert run.instance.states == states
     assert system.metrics == Metrics()
 
 

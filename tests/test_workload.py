@@ -391,25 +391,41 @@ def test_dismissal_counts_and_cycle_ordering():
     assert cycles[0] < cycles[3] < cycles[20]
 
 
-def test_executed_decoders_match_detected_users():
+def test_executed_decoders_match_detected_users(monkeypatch):
     link = small_link(users=4)
     machine = small_machine()
     # run once and inspect the finished instances directly
     from wbpsim.costmodel import CostModel
+    from wbpsim.dag import DagInstance
     from wbpsim.machine import Machine
     from wbpsim.scheduler import System
     from wbpsim.workload import make_link_body, spawn_threads
 
+    # Every state change of the run, as a path per (instance, task).
+    paths = {}
+    set_state = DagInstance.set_state
+
+    def recording(instance, task_id, new):
+        paths.setdefault((id(instance), task_id), []).append(new)
+        set_state(instance, task_id, new)
+
+    monkeypatch.setattr(DagInstance, "set_state", recording)
     system = System(Machine(machine), CostModel.default(), make_link_body(link))
     for t in spawn_threads(TddPattern(("U",), 8000), 2, link, 5, None,
                            build_rx_dag(link)):
         system.submit(t)
     system.run()
+    executed = [TaskState.DISPATCHED, TaskState.RUNNING, TaskState.DONE]
+    assert len(system.finished_runs) == 2
     for run in system.finished_runs.values():
         states = run.instance.states
         done_decoders = [t for t in states
                          if t.startswith("dec_u") and states[t] is TaskState.DONE]
         assert len(done_decoders) == 4
+        for task in states:
+            assert paths.pop((id(run.instance), task)) in (executed,
+                                                           [TaskState.DISMISSED])
+    assert paths == {}
 
 
 def test_noisy_run_counts_failures_without_raising():
