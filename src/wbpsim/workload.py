@@ -512,7 +512,6 @@ def _verify_thread(thread: ThreadDescriptor, outputs: list[Token],
 def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
                    pattern: TddPattern, n_slots: int, seed: int, *,
                    multithreading: bool = True, lazy_deletion: bool = True,
-                   strict_algorithm: bool = False,
                    cost_model: CostModel | None = None,
                    trace_path: str | None = None,
                    fault_hook=None) -> ThroughputReport:
@@ -523,8 +522,7 @@ def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
                       digest_salt=f"seed:{seed}")
     model = cost_model or CostModel.default()
     system = System(machine, model, make_link_body(link),
-                    lazy_deletion=lazy_deletion,
-                    strict_algorithm=strict_algorithm)
+                    lazy_deletion=lazy_deletion)
     if fault_hook is not None:
         fault_hook(machine)
     needs_tx = any(pattern.slots[s % len(pattern.slots)] == "D"
@@ -542,8 +540,7 @@ def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
             outputs.extend(tokens)
         failures += _verify_thread(run.thread, outputs, link)
     simulated = max(1, system.last_completion)
-    info_bits = sum(link.polar.K * link.users_per_slot
-                    for _ in range(len(system.finished_runs)))
+    info_bits = link.polar.K * link.users_per_slot * len(system.finished_runs)
     utilization = tuple(
         min(1.0, tile.busy_cycles / simulated)
         for tile in sorted(machine.tiles.values(), key=lambda t: t.tile_id))
