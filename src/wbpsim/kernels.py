@@ -277,8 +277,9 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30) -> np.
               right[s + 1][0::2], right[s + 1][1::2],
               left[s + 1][0::2], left[s + 1][1::2])
              for s in range(stages)]
-    # Stage 0 of the left sweep feeds no stage; it runs apart.
-    left_views = views[:0:-1]
+    # The right sweep's stage n-1 and the left sweep's stage 0 feed no
+    # stage; the first never runs, the second runs apart.
+    right_views, left_views = views[:-1], views[:0:-1]
     bits = left.view(np.int64)
     # After the last iteration: the sum of level 1's bits (that of +0.0 is
     # 0) and, while that sum repeats, a copy of levels 1..n-1.
@@ -291,7 +292,7 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30) -> np.
         np.add(t, l_hi, out=l_out_hi)
 
     for it in range(max_iters):
-        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in views[:-1]:
+        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in right_views:
             np.add(l_hi, b, out=t)
             _minsum_into(a, t, r_lo, mn, mx)
             _minsum_into(a, l_lo, t, mn, mx)
