@@ -3,8 +3,10 @@ and runtime dismissal of conditional task groups.
 
 A ``Dag`` is a mutable builder until ``freeze()`` validates it and computes a
 structural content hash; after that it is immutable and safe to share. Each
-running thread owns a ``DagInstance`` carrying per-task state and per-edge
-FIFO queues, plus incrementally maintained readiness (see ``DagInstance``).
+running thread owns a ``DagInstance`` carrying per-task state and one token
+slot per edge, plus incrementally maintained readiness (see ``DagInstance``).
+A thread is one activation of its dag and each task fires once, so an edge
+carries at most one token in the thread's life and one slot is enough.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ class TaskSpec:
 class Edge:
     src: str
     dst: str
-    capacity: int = 4
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("FIFO capacity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -112,12 +109,12 @@ class Dag:
         self.tasks[spec.task_id] = spec
         return spec.task_id
 
-    def add_edge(self, src: str, dst: str, capacity: int = 4) -> int:
+    def add_edge(self, src: str, dst: str) -> int:
         self._mutable()
         for end in (src, dst):
             if end != EXTERNAL and end not in self.tasks:
                 raise ValueError(f"unknown edge endpoint {end!r}")
-        self.edges.append(Edge(src=src, dst=dst, capacity=capacity))
+        self.edges.append(Edge(src=src, dst=dst))
         return len(self.edges) - 1
 
     def add_dismissal(self, producer: str, group: Iterable[str]) -> None:
@@ -210,7 +207,7 @@ class Dag:
                  sorted(t.params.items()))
                 for t in self.tasks.values()
             ),
-            "edges": sorted((e.src, e.dst, e.capacity) for e in self.edges),
+            "edges": sorted((e.src, e.dst) for e in self.edges),
             "rules": sorted((r.producer, r.group) for r in self.rules),
         }
         blob = json.dumps(canon, sort_keys=True, default=str).encode()
@@ -251,21 +248,21 @@ class Dag:
         return [i for i, e in enumerate(self.edges) if e.src == EXTERNAL]
 
 
-class BackpressureError(RuntimeError):
-    """FIFO at capacity."""
-
-
 class DagInstance:
-    """Runtime state of one thread's dag: task states and FIFO contents.
+    """Runtime state of one thread's dag: task states and edge slots.
+
+    ``fifos[edge]`` is the edge's one token slot, None while empty; pushing
+    onto a full slot raises. ``outputs[task]`` is the task's thread-output
+    token.
 
     Readiness is kept incrementally, so a scan need not test every task:
 
     - ``missing[task]`` counts the task's live input edges (producer not
-      dismissed) whose FIFO is empty. It changes when a FIFO goes from empty
-      to one token (``push_token``), from one token to empty
-      (``pop_inputs``), and when a producer is dismissed: its empty output
-      edges stop being live, which is the arity adjustment that lets a join
-      fire once the surviving producers have delivered.
+      dismissed) whose slot is empty. It changes when a slot fills
+      (``push_token``), when it empties (``pop_inputs``), and when a
+      producer is dismissed: its empty output edges stop being live, which
+      is the arity adjustment that lets a join fire once the surviving
+      producers have delivered.
     - ``_pending`` holds the sorted topological indices of the WAITING
       tasks; a task leaves it when it is dispatched or dismissed.
     - ``_ready[attribute]`` holds the indices in ``_pending`` with nothing
@@ -280,8 +277,8 @@ class DagInstance:
         dag.dag_id  # require frozen
         self.dag = dag
         self.states = {tid: TaskState.WAITING for tid in dag.tasks}
-        self.fifos: dict[int, deque[Token]] = {i: deque() for i in range(len(dag.edges))}
-        self.outputs: dict[str, list[Token]] = {}
+        self.fifos: list[Token | None] = [None] * len(dag.edges)
+        self.outputs: dict[str, Token] = {}
         self.missing = {tid: len(dag._in_edges[tid]) for tid in dag.tasks}
         self._pending = list(range(len(dag._topo)))
         self._ready: dict[str, set[int]] = {attr: set() for attr in ATTRIBUTES}
@@ -297,7 +294,7 @@ class DagInstance:
             self._ready[self.dag.tasks[task_id].attribute].discard(index)
         if new is TaskState.DISMISSED:
             for idx in self.dag._out_edges[task_id]:
-                if not self.fifos[idx]:
+                if self.fifos[idx] is None:
                     self._input_satisfied(self.dag.edges[idx].dst)
 
     def _input_satisfied(self, task_id: str) -> None:
@@ -321,7 +318,7 @@ class DagInstance:
     def is_ready(self, task_id: str) -> bool:
         if self.states[task_id] is not TaskState.WAITING:
             return False
-        return all(self.fifos[idx] for idx in self.live_in_edges(task_id))
+        return all(self.fifos[idx] is not None for idx in self.live_in_edges(task_id))
 
     def ready_tasks(self) -> set[str]:
         return {self.dag._topo[i] for ready in self._ready.values() for i in ready}
@@ -348,12 +345,11 @@ class DagInstance:
         return len(self._pending)
 
     def push_token(self, edge_idx: int, token: Token) -> None:
-        fifo = self.fifos[edge_idx]
+        if self.fifos[edge_idx] is not None:
+            raise RuntimeError(f"edge {edge_idx} already holds a token")
+        self.fifos[edge_idx] = token
         edge = self.dag.edges[edge_idx]
-        if len(fifo) >= edge.capacity:
-            raise BackpressureError(f"edge {edge_idx} at capacity")
-        fifo.append(token)
-        if len(fifo) == 1 and self.states.get(edge.src) is not TaskState.DISMISSED:
+        if self.states.get(edge.src) is not TaskState.DISMISSED:
             self._input_satisfied(edge.dst)
 
     def pop_inputs(self, task_id: str) -> list[Token]:
@@ -361,10 +357,9 @@ class DagInstance:
             raise RuntimeError(f"pop_inputs on non-ready task {task_id}")
         tokens = []
         for idx in self.live_in_edges(task_id):
-            fifo = self.fifos[idx]
-            tokens.append(fifo.popleft())
-            if not fifo:
-                self.missing[task_id] += 1
+            tokens.append(self.fifos[idx])
+            self.fifos[idx] = None
+            self.missing[task_id] += 1
         if self.missing[task_id]:
             self._ready[self.dag.tasks[task_id].attribute].discard(
                 self.dag._topo_index[task_id])
@@ -399,41 +394,12 @@ class DagInstance:
 
 
 def dump_dag(dag: Dag) -> str:
-    """Render `task`, `edge` and `dismiss` records, one per line."""
+    """Render `task`, `edge SRC DST` and `dismiss` records, one per line."""
     lines = []
     for spec in dag.tasks.values():
         lines.append(f"task {spec.task_id} {spec.kernel} {spec.attribute} {spec.code_bytes}")
     for edge in dag.edges:
-        lines.append(f"edge {edge.src} {edge.dst} {edge.capacity}")
+        lines.append(f"edge {edge.src} {edge.dst}")
     for rule in dag.rules:
         lines.append(f"dismiss {rule.producer} {rule.max_count} " + " ".join(rule.group))
     return "\n".join(lines) + "\n"
-
-
-def load_dag(text: str) -> Dag:
-    dag = Dag()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "task":
-                tid, kernel, attr, code_bytes = parts[1:5]
-                dag.add_task(TaskSpec(task_id=tid, kernel=kernel, attribute=attr,
-                                      code_bytes=int(code_bytes)))
-            elif kind == "edge":
-                src, dst, cap = parts[1:4]
-                dag.add_edge(src, dst, int(cap))
-            elif kind == "dismiss":
-                producer, count = parts[1], int(parts[2])
-                group = parts[3:]
-                if len(group) != count:
-                    raise ValueError(f"dismiss group size {len(group)} != {count}")
-                dag.add_dismissal(producer, group)
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"dag description line {lineno}: {exc}") from None
-    return dag

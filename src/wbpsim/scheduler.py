@@ -296,7 +296,7 @@ class ClusterScheduler:
         dag = run.thread.dag
         spec = dag.tasks[task_id]
         live_edges = instance.live_in_edges(task_id)
-        in_tokens = [instance.fifos[idx][0] for idx in live_edges]
+        in_tokens = [instance.fifos[idx] for idx in live_edges]
         in_bytes = sum(t.byte_size for t in in_tokens)
         if spec.code_bytes + in_bytes > tile.tspm_capacity:
             # Deployment failure: the task stays ready and is retried later.
@@ -344,8 +344,8 @@ class ClusterScheduler:
         """Free the tile, apply dismissal, and queue the retrieved tokens.
 
         A task completes once and pushes at most one token per out-edge, so
-        each FIFO of an instance receives one token in its life; a FIFO holds
-        at least one, so these pushes never meet backpressure.
+        each edge of an instance receives one token in its life; every push
+        checks that its slot is empty.
         """
         run = task_run.run
         instance = run.instance
@@ -379,7 +379,7 @@ class ClusterScheduler:
         if task_run.result.thread_output is not None:
             output = task_run.result.thread_output
             token = Token(output.payload, output.byte_size, next(region_iter))
-            instance.outputs.setdefault(task_id, []).append(token)
+            instance.outputs[task_id] = token
         if instance.is_complete():
             self.finish_thread(run, now)
         self.scan(now)
@@ -388,13 +388,13 @@ class ClusterScheduler:
         if self.runs.pop(run.thread.tid, None) is not run:
             raise RuntimeError(f"thread {run.thread.tid} finished twice")
         compute = self.cluster.sections["COMPUTE_DATA"]
-        for fifo in run.instance.fifos.values():
-            for token in fifo:
+        fifos = run.instance.fifos
+        for idx, token in enumerate(fifos):
+            if token is not None:
                 compute.free_region(token.region)
-            fifo.clear()
-        for tokens in run.instance.outputs.values():
-            for token in tokens:
-                compute.free_region(token.region)
+                fifos[idx] = None
+        for token in run.instance.outputs.values():
+            compute.free_region(token.region)
         self.cluster.sections["FIFO_LISTS"].free_region(run.fifo_region)
         run.completed_at = now
         self.system.on_thread_done(run, now)

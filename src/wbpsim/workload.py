@@ -535,10 +535,7 @@ def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
 
     failures = 0
     for tid, run in system.finished_runs.items():
-        outputs = []
-        for tokens in run.instance.outputs.values():
-            outputs.extend(tokens)
-        failures += _verify_thread(run.thread, outputs, link)
+        failures += _verify_thread(run.thread, list(run.instance.outputs.values()), link)
     simulated = max(1, system.last_completion)
     info_bits = link.polar.K * link.users_per_slot * len(system.finished_runs)
     utilization = tuple(
