@@ -219,8 +219,9 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30) -> np.
     (u-domain) positions with the same shape. Messages flow left (toward u)
     and right (toward the channel) through the n butterfly stages; frozen
     positions carry a +FROZEN_LLR prior. Each iteration is a right sweep over
-    stages 0..n-2 (the right messages of level n feed no stage), then a left
-    sweep back.
+    stages 0..n-2, then a left sweep back. There are right levels 0..n-1
+    only: stage n-1 would write the right messages of level n, which no
+    stage reads.
 
     The left messages of levels 1..n-1 are the only state that one iteration
     hands the next: the right sweep recomputes every right level from the
@@ -268,31 +269,33 @@ def bp_decode_soft(llr: np.ndarray, code: PolarCode, max_iters: int = 30) -> np.
     half = batch * size // 2
     perm = _bit_reversal(stages)
     left = np.zeros((stages + 1, 2 * half))
-    right = np.zeros((stages + 1, 2 * half))
+    right = np.zeros((stages, 2 * half))
     left[stages] = llr[:, perm].ravel()
     right[0] = np.repeat(np.where(code.frozen_mask[perm] == 1, FROZEN_LLR, 0.0), batch)
     t, mn, mx = np.empty((3, half))
+    right_views = [(right[s][:half], right[s][half:],
+                    right[s + 1][0::2], right[s + 1][1::2],
+                    left[s + 1][0::2], left[s + 1][1::2])
+                   for s in range(stages - 1)]
     views = [(right[s][:half], right[s][half:],
               left[s][:half], left[s][half:],
-              right[s + 1][0::2], right[s + 1][1::2],
               left[s + 1][0::2], left[s + 1][1::2])
              for s in range(stages)]
-    # The right sweep's stage n-1 and the left sweep's stage 0 feed no
-    # stage; the first never runs, the second runs apart.
-    right_views, left_views = views[:-1], views[:0:-1]
+    # The left sweep's stage 0 feeds no stage; it runs apart.
+    left_views = views[:0:-1]
     bits = left.view(np.int64)
     # After the last iteration: the sum of level 1's bits (that of +0.0 is
     # 0) and, while that sum repeats, a copy of levels 1..n-1.
     checksum, snapshot = 0, None
 
-    def left_step(a, b, l_out_lo, l_out_hi, r_lo, r_hi, l_lo, l_hi):
+    def left_step(a, b, l_out_lo, l_out_hi, l_lo, l_hi):
         np.add(l_hi, b, out=t)
         _minsum_into(l_lo, t, l_out_lo, mn, mx)
         _minsum_into(a, l_lo, t, mn, mx)
         np.add(t, l_hi, out=l_out_hi)
 
     for it in range(max_iters):
-        for a, b, _, _, r_lo, r_hi, l_lo, l_hi in right_views:
+        for a, b, r_lo, r_hi, l_lo, l_hi in right_views:
             np.add(l_hi, b, out=t)
             _minsum_into(a, t, r_lo, mn, mx)
             _minsum_into(a, l_lo, t, mn, mx)
@@ -533,20 +536,3 @@ def blind_detect(slot_truth: int) -> int:
     if not 0 <= slot_truth <= MAX_USERS_PER_SLOT:
         raise ValueError(f"user count must be in 0..{MAX_USERS_PER_SLOT}")
     return int(slot_truth)
-
-
-# ---------------------------------------------------------------------------
-# golden-file hook
-
-
-def hex_dump(arr) -> str:
-    """Hex-encode an array (with dtype/shape header) for golden-file tests."""
-    arr = np.ascontiguousarray(arr)
-    shape = "x".join(str(d) for d in arr.shape)
-    return f"{arr.dtype.str}:{shape}:{arr.tobytes().hex()}"
-
-
-def hex_load(text: str) -> np.ndarray:
-    dtype, shape, payload = text.split(":")
-    dims = tuple(int(d) for d in shape.split("x") if d)
-    return np.frombuffer(bytes.fromhex(payload), dtype=np.dtype(dtype)).reshape(dims)

@@ -696,13 +696,6 @@ def test_descramble_after_demod_consistent_with_bits(rng):
     np.testing.assert_array_equal((descrambled < 0).astype(np.int8), bits)
 
 
-def test_hex_dump_roundtrip(rng):
-    arr = rng.normal(size=(3, 4))
-    np.testing.assert_array_equal(K.hex_load(K.hex_dump(arr)), arr)
-    bits = rng.integers(0, 2, 16, dtype=np.int8)
-    np.testing.assert_array_equal(K.hex_load(K.hex_dump(bits)), bits)
-
-
 # ---------------------------------------------------------------------------
 # batch axis of the transmit-chain kernels: a batched call equals the same
 # kernel called row by row, byte for byte
