@@ -339,7 +339,7 @@ class MachineConfig:
     clock_hz: float = 500e6
     thread_eval_cycles: int = 50
     scan_visit_cycles: int = 10
-    sched_tick_cycles: int = 1000
+    sched_tick_cycles: int = 1000  # retry period while work waits, not a heartbeat
     strict: bool = True
 
     def __post_init__(self):

@@ -53,6 +53,17 @@ tile time and posts every event of a tile job. An event's ctx is its
 subject: the ``ThreadDescriptor`` of an arrival, the ``ThreadRun`` of a
 thread bundle, the ``TaskRun`` of a tile job, None for the tick.
 
+A ``SCHED_TICK`` retries what waits on time, and is posted only while
+something does. Three waits raise ``System.tick_wanted``: a placement try
+that fails after the LRU path, a dispatch that backs off (a deployment
+failure or a full ``LOAD_INDICATION`` section) and a stalled retrieval.
+A thread that waits for a thread slot raises nothing, because the slot's
+release re-runs ``evaluate``; every other freed resource is retried by the
+next tick. After an event that raised the flag, or that left the queue
+empty while threads live, ``handle`` posts a tick on the next multiple of
+``sched_tick_cycles`` after now, unless one is already posted. A tick
+posts no further tick by itself.
+
 All mutation happens inside the single-threaded event loop, so a (config,
 seed) pair always yields the same event stream and trace digest.
 """
@@ -301,10 +312,12 @@ class ClusterScheduler:
         if spec.code_bytes + in_bytes > tile.tspm_capacity:
             # Deployment failure: the task stays ready and is retried later.
             self.system.metrics.deployment_failures += 1
+            self.system.tick_wanted = True
             return None
         indication = self.cluster.sections["LOAD_INDICATION"]
         if not indication.would_fit(LOAD_INDICATION_BYTES):
             self.system.metrics.backpressure_events += 1
+            self.system.tick_wanted = True
             return None
         ind_region = indication.alloc(LOAD_INDICATION_BYTES)
         tokens = instance.pop_inputs(task_id)
@@ -329,6 +342,7 @@ class ClusterScheduler:
         if not compute.would_fit(*sizes):
             self.system.metrics.retrieval_stalls += 1
             self.stalled_retrievals.append(task_run)
+            self.system.tick_wanted = True
             return False
         task_run.output_regions = [compute.alloc(size) for size in sizes]
         self.system.machine.begin_retrieval(
@@ -561,6 +575,7 @@ class MainScheduler:
         self.system.metrics.backpressure_events += 1
         self.decisions.append(Decision(now, thread.tid, "wait",
                                        -1 if cid is None else cid, evicted))
+        self.system.tick_wanted = True
         return False
 
     def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> list[str]:
@@ -614,6 +629,7 @@ class System:
         self.threads: dict[int, ThreadDescriptor] = {}
         self.finished_runs: dict[int, ThreadRun] = {}
         self.last_completion = 0
+        self.tick_wanted = False  # see the module docstring
         self._tick_posted = False
         self._stall_ticks = 0
         self._dag_classes: dict[str, set[str]] = {}
@@ -649,7 +665,6 @@ class System:
             thread=thread.tid, ctx=thread))
 
     def run(self) -> None:
-        self._post_tick(self.machine.config.sched_tick_cycles)
         try:
             self.machine.engine.run(self.handle)
         except SimulationStalled as exc:
@@ -686,8 +701,9 @@ class System:
         The engine holds a posted event while anything is in flight: a
         transfer, a running tile, an interrupt or an arrival (this tick is
         already dispatched). A tick that leaves the queue empty posted
-        nothing, so every later tick finds the same state and does the same
-        nothing; a stalled retrieval waits on scratchpad space, not on time.
+        nothing, so ``handle`` posts the next tick, which finds the same
+        state and does the same nothing; a stalled retrieval waits on
+        scratchpad space, not on time. Ten such ticks in a row end the run.
         """
         if self.machine.engine.pending:
             self._stall_ticks = 0
@@ -705,6 +721,7 @@ class System:
             self.main.pending.append(subject)
             self.main.evaluate(now)
         elif kind is EventKind.SCHED_TICK:
+            # Retry every wait; one that fails again raises tick_wanted.
             self._tick_posted = False
             self.main.evaluate(now)
             for sched in self.cluster_scheds:
@@ -712,7 +729,6 @@ class System:
                 sched.scan(now)
             if len(self.finished_runs) != len(self.threads):
                 self._check_progress()
-                self._post_tick(now + self.machine.config.sched_tick_cycles)
         elif kind is EventKind.DMA_DONE:
             self.metrics.dma_bytes += event.nbytes
             if isinstance(subject, ThreadRun):  # the thread's bundle
@@ -739,6 +755,11 @@ class System:
         for sched in self.cluster_scheds:
             if len(sched.runs) > sched.cluster.max_threads:
                 raise RuntimeError(f"cluster {sched.cluster.cluster_id} over thread limit")
+        if self.tick_wanted or not self.machine.engine.pending:
+            self.tick_wanted = False
+            if len(self.finished_runs) != len(self.threads):
+                period = self.machine.config.sched_tick_cycles
+                self._post_tick((now // period + 1) * period)
 
     def on_thread_done(self, run: ThreadRun, now: int) -> None:
         self.main.on_thread_done(run, now)

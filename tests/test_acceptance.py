@@ -265,7 +265,7 @@ def _fuzz_config(gen: random.Random):
 # SHA-256 over every fuzz config's digest and metrics, in config order. It
 # pins the whole corpus's event streams: a pure speed-up leaves it unchanged.
 AC8_CORPUS_SHA256 = (
-    "53ce33a921442ad588f4a0d20ced02601ea89091526fb45953f2f857bcf99140")
+    "f2bdb39540a8ff675eb5597f228b7eff11ddf06c54e7bb234112676af61f0c8a")
 
 
 def test_ac8_protocol_invariant_fuzz():

@@ -48,10 +48,10 @@ def with_slots(setup, n_slots):
 @pytest.mark.parametrize("name,row", [
     ("example.cfg",
      "7cc506e6b182,1,4,2,2,8,1,1,1,7.157002,0.414801,1205120,2,0,6,68,"
-     "8232f41f1d18d12d614c3f8b3e0505c0629c857b77def24976b559f7c1583f84"),
+     "dec1db3e066dbbc5567305372081ef40a890f2ed1595f6df500debaccaf7f6b8"),
     ("3c4t.cfg",
      "fae28055f4b8,3,4,2,2,24,1,1,1,20.501048,0.396099,2651904,6,0,18,216,"
-     "0e06ee2af79b3c9b07cdf2a47364ac22dc172ef0bb8d8880ac0d9056d04c56fb"),
+     "420891ff63b73d39e7b09b71988fb41f319ec6a51af097a1887087882bea1834"),
 ])
 def test_reference_config_golden_row(name, row):
     setup = load_config(CONFIGS / name)
@@ -60,12 +60,12 @@ def test_reference_config_golden_row(name, row):
     assert decision_log_sha256(report) == REFERENCE_DECISION_LOGS[name]
 
 
-# 491 of example.cfg's 499 decisions and 1250 of 3c4t.cfg's 1274 are waits.
+# 16 of example.cfg's 24 decisions and 179 of 3c4t.cfg's 203 are waits.
 REFERENCE_DECISION_LOGS = {
     "example.cfg":
-        "b0fa978fae7441a3ee56f3b51c5fddc7a28aaec69be9fc9769f32e92f7ff6055",
+        "22ad15b72e35b28dac2607a2c14203b223b628e2b916744677988d3e96108ed7",
     "3c4t.cfg":
-        "2f26f019caf7b642cbb9df89586017daa957110da400944dfd6843263f96359e",
+        "53aa77f7c9ce5f3972a8b758ee5019e3090342ac0c717960f6717115a9f3c64e",
 }
 
 
@@ -78,7 +78,7 @@ def test_sweep_4x3_deep_backlog_golden_row():
     report = execute(setup)
     assert csv_row(setup, report) == (
         "bf3fe2b626b9,4,3,2,1,20,1,1,1,20.776034,0.401118,8768672,6,0,14,100,"
-        "facabff8d4f123a28766130581046b104b0f29bcbb206df8589210bec31b0ad7")
+        "45ad344d94b231fcdf223c1f96d2b87f2248302ecbdd3de94fa34277d6548fcc")
     assert decision_log_sha256(report) == (
         "8677c08a26625a8472461d65a51b239994e08ed1cea4590b6673c4e9c6f668a0")
 

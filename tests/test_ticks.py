@@ -10,7 +10,7 @@ digest, which hashes the ticks. Over a fuzz corpus they also hash every
 metric except ``backpressure_events``, which counts each tick's waits.
 
 The tight-section corpus draws scratchpad sections small enough for
-dispatches to back off and retrievals to stall, so ticks still matter there.
+placements and dispatches to wait on them, so ticks still matter there.
 """
 
 import dataclasses
@@ -96,6 +96,13 @@ def test_reference_non_tick_stream(reference_runs, name):
     assert reference_runs[name].sha.hexdigest() == NON_TICK_STREAMS[name]
 
 
+@pytest.mark.parametrize("name", list(REFERENCE_RUNS))
+def test_reference_runs_post_no_tick(reference_runs, name):
+    # A thread of these runs waits only for a thread slot, and the slot's
+    # release places it; no placement, dispatch or retrieval waits on time.
+    assert reference_runs[name].tick_times == []
+
+
 def run_corpus(draw, runs: int) -> tuple[str, list[tuple[int, list[int]]]]:
     """SHA-256 over each drawn config's non-tick stream and its metrics but
     ``backpressure_events`` (or its stall message), in draw order; and each
@@ -132,8 +139,8 @@ def test_ac8_corpus_non_tick_streams():
 
 def _tight_section_config(gen: random.Random):
     """AC8's draw with scratchpad sections, thread slots and slot lengths
-    tight enough that placements wait, dispatches back off on a full
-    LOAD_INDICATION section and retrievals stall on COMPUTE_DATA."""
+    tight enough that placements wait for section room and dispatches back
+    off on a full LOAD_INDICATION section."""
     sys_cfg, link, pattern, _, seed = _fuzz_config(gen)
     sections = {"TASK_CODE_POOL": 196608, "FIFO_LISTS": 16384,
                 "LOAD_INDICATION": gen.choice((16, 32, 4096)),
