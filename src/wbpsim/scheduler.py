@@ -58,7 +58,7 @@ something does. Three waits raise ``System.tick_wanted``: a placement try
 that fails after the LRU path, a dispatch that backs off (a deployment
 failure or a full ``LOAD_INDICATION`` section) and a stalled retrieval.
 A thread that waits for a thread slot raises nothing, because the slot's
-release re-runs ``evaluate``; every other freed resource is retried by the
+release re-runs ``evaluate``; each of the three waits is retried by the
 next tick. After an event that raised the flag, or that left the queue
 empty while threads live, ``handle`` posts a tick on the next multiple of
 ``sched_tick_cycles`` after now, unless one is already posted. A tick
