@@ -157,7 +157,9 @@ def cmd_run(args) -> int:
     if report.violations:
         return 2
     if setup.link.snr_db is None and report.fidelity_failures:
-        print(f"fidelity failures: {report.fidelity_failures}", file=sys.stderr)
+        threads = ", ".join(map(str, report.failed_threads))
+        print(f"fidelity failures: {report.fidelity_failures} (threads {threads})",
+              file=sys.stderr)
         return 1
     return 0
 

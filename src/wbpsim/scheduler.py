@@ -17,6 +17,9 @@ scan skips it. Placement order is admission order: each ``reserve`` of the
 one main DMA engine returns a ``done`` no earlier than the last, and equal
 times dispatch in posting order. A thread keeps no status: it is in
 ``MainScheduler.pending``, in one ``runs`` table or in ``System.finished_runs``.
+A finished thread hands its output tokens to ``System.check`` and keeps
+none: ``finish_thread`` empties its instance's ``outputs``, so memory holds
+the outputs of in-flight threads only.
 
 The modeled scan walks each instance's tasks in topological order and pays
 ``scan_visit_cycles`` for every WAITING task it passes, so a dispatch
@@ -188,6 +191,8 @@ class BodyResult:
 
 
 TaskBody = Callable[..., BodyResult]
+# Called with a finished thread's run and the output tokens it delivered.
+ThreadCheck = Callable[["ThreadRun", list[Token]], None]
 
 
 @dataclass
@@ -407,11 +412,13 @@ class ClusterScheduler:
             if token is not None:
                 compute.free_region(token.region)
                 fifos[idx] = None
-        for token in run.instance.outputs.values():
+        outputs = list(run.instance.outputs.values())
+        run.instance.outputs.clear()
+        for token in outputs:
             compute.free_region(token.region)
         self.cluster.sections["FIFO_LISTS"].free_region(run.fifo_region)
         run.completed_at = now
-        self.system.on_thread_done(run, now)
+        self.system.on_thread_done(run, outputs, now)
 
 
 class MainScheduler:
@@ -614,14 +621,21 @@ class MainScheduler:
 
 
 class System:
-    """Binds the machine, both scheduler levels, and the task bodies."""
+    """Binds the machine, both scheduler levels, and the task bodies.
+
+    ``check``, if given, is called once per finished thread with its run and
+    the output tokens it delivered; the run keeps none of them. It must not
+    refer to the System, which the schedulers' weak references keep free of
+    cycles.
+    """
 
     def __init__(self, machine: Machine, cost_model: CostModel,
-                 body_fn: TaskBody, lazy_deletion: bool = True,
-                 strict_algorithm: bool = False):
+                 body_fn: TaskBody, check: ThreadCheck | None = None,
+                 lazy_deletion: bool = True, strict_algorithm: bool = False):
         self.machine = machine
         self.cost_model = cost_model
         self.body_fn = body_fn
+        self.check = check
         self.lazy_deletion = lazy_deletion
         self.metrics = Metrics()
         self.main = MainScheduler(self, strict_algorithm=strict_algorithm)
@@ -761,7 +775,9 @@ class System:
                 period = self.machine.config.sched_tick_cycles
                 self._post_tick((now // period + 1) * period)
 
-    def on_thread_done(self, run: ThreadRun, now: int) -> None:
+    def on_thread_done(self, run: ThreadRun, outputs: list[Token], now: int) -> None:
+        if self.check is not None:
+            self.check(run, outputs)
         self.main.on_thread_done(run, now)
         self.finished_runs[run.thread.tid] = run
         self.last_completion = max(self.last_completion, now)

@@ -8,10 +8,12 @@ maximum of 20 channel decoders whose unused tail is dismissed at runtime
 once the detected user count is known.
 
 Thread payloads are synthesized up front from a seeded generator, so
-simulation order cannot perturb the data. Each slot's frames are built once,
-for all its users together, in one batched kernel call per chain stage; an
-uplink slot reuses its paired downlink slot's frames, passed through the
-modeled channel.
+simulation order cannot perturb the data. A slot's frames are built for all
+its users together, in one batched kernel call per chain stage, and only
+where an uplink slot needs them: it passes its paired downlink slot's frames
+through the modeled channel. A transmit slot keeps only its info bits; its
+delivered frames are checked against frames derived from them when its
+thread finishes.
 
 A receive thread's decoders share one batched decode on the host, as a
 software polar decoder amortises its per-call overhead over sibling frames.
@@ -427,17 +429,20 @@ def spawn_threads(pattern: TddPattern, n_slots: int, link: LinkConfig,
                   seed: int, tx_dag: Dag | None, rx_dag: Dag) -> list[ThreadDescriptor]:
     """One thread per slot: downlink slots transmit, uplink slots receive.
 
-    Each downlink slot draws its users' info bits and builds their frames
-    once, in one batched call per kernel stage. An uplink slot reuses the
-    bits and frames of the closest preceding downlink slot (its paired
-    transmitter) and adds the modeled channel; an uplink slot with no
-    downlink slot before it draws and builds its own.
+    Each downlink slot draws its users' info bits; its inputs and its
+    ``truth_bits`` are those bits. An uplink slot reuses the bits of the
+    closest preceding downlink slot (its paired transmitter) and adds the
+    modeled channel to their frames. Those frames are built once, in one
+    batched call per kernel stage, and only for a downlink slot that an
+    uplink slot uses. An uplink slot with no downlink slot before it draws
+    and builds its own.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
     pilot = pilot_symbol_freq(link)
     threads = []
-    downlink: tuple[np.ndarray, np.ndarray] | None = None  # last (bits, frames)
+    downlink: np.ndarray | None = None  # the last downlink slot's bits
+    frames: np.ndarray | None = None  # the current bits' frames, once built
     for slot in range(n_slots):
         kind = pattern.slots[slot % len(pattern.slots)]
         rng = _slot_rng(seed, slot)
@@ -447,15 +452,16 @@ def spawn_threads(pattern: TddPattern, n_slots: int, link: LinkConfig,
         if kind == "D" or downlink is None:
             bits = rng.integers(0, 2, size=(link.users_per_slot, link.polar.K),
                                 dtype=np.int8)
-            frames = tx_frames(link, bits, pilot)
+            frames = None
         else:
-            bits, frames = downlink
+            bits = downlink
         if kind == "D":
-            downlink = bits, frames
+            downlink = bits
             inputs = [make_token(row) for row in bits]
-            meta = {"kind": "tx", "slot": slot, "truth_bits": bits,
-                    "expected": frames.reshape(-1)}
+            meta = {"kind": "tx", "slot": slot, "truth_bits": bits}
         else:
+            if frames is None:
+                frames = tx_frames(link, bits, pilot)
             inputs = [make_token(channel_bundle(link, frames, rng))]
             meta = {"kind": "rx", "slot": slot, "truth_bits": bits}
         threads.append(ThreadDescriptor(
@@ -478,6 +484,7 @@ class ThroughputReport:
     metrics: dict[str, int]
     digest: str
     fidelity_failures: int
+    failed_threads: tuple[int, ...]  # sorted ids of the threads that failed the check
     threads_completed: int
     decisions: tuple
     violations: tuple[str, ...] = ()  # protocol violations a lenient run kept
@@ -490,12 +497,18 @@ def throughput_mbps(info_bits: int, simulated_cycles: int, clock_hz: float) -> f
 
 
 def _verify_thread(thread: ThreadDescriptor, outputs: list[Token],
-                   link: LinkConfig) -> int:
-    """Returns the number of delivered payloads that mismatch ground truth."""
+                   link: LinkConfig, pilot: np.ndarray) -> int:
+    """Returns the number of delivered payloads that mismatch ground truth.
+
+    Called as the thread finishes, with the outputs it delivered. A transmit
+    slot is compared with ``tx_frames`` of its ``truth_bits``, derived here
+    rather than kept from set-up; ``pilot`` is ``pilot_symbol_freq(link)``.
+    """
     failures = 0
     if thread.meta["kind"] == "tx":
         slot = outputs[0].payload if outputs else None
-        if slot is None or not np.array_equal(slot, thread.meta["expected"]):
+        if slot is None or not np.array_equal(
+                slot, tx_frames(link, thread.meta["truth_bits"], pilot).reshape(-1)):
             failures += 1
     else:
         decoded = outputs[0].payload if outputs else ()
@@ -515,13 +528,26 @@ def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
                    cost_model: CostModel | None = None,
                    trace_path: str | None = None,
                    fault_hook=None) -> ThroughputReport:
-    """Wire the machine, schedulers and workload together and run to completion."""
+    """Wire the machine, schedulers and workload together and run to completion.
+
+    Each thread's delivered outputs are checked against ground truth derived
+    from its ``truth_bits`` as it finishes, and then let go.
+    """
     effective = dataclasses.replace(
         machine_cfg, max_threads=machine_cfg.max_threads if multithreading else 1)
     machine = Machine(effective, trace_path=trace_path,
                       digest_salt=f"seed:{seed}")
     model = cost_model or CostModel.default()
-    system = System(machine, model, make_link_body(link),
+    pilot = pilot_symbol_freq(link)
+    failures: dict[int, int] = {}  # mismatching payloads, by failed thread id
+
+    def check(run, outputs):
+        # Holds no reference to the System, which must stay free of cycles.
+        count = _verify_thread(run.thread, outputs, link, pilot)
+        if count:
+            failures[run.thread.tid] = count
+
+    system = System(machine, model, make_link_body(link), check,
                     lazy_deletion=lazy_deletion)
     if fault_hook is not None:
         fault_hook(machine)
@@ -533,9 +559,6 @@ def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
         system.submit(thread)
     system.run()
 
-    failures = 0
-    for tid, run in system.finished_runs.items():
-        failures += _verify_thread(run.thread, list(run.instance.outputs.values()), link)
     simulated = max(1, system.last_completion)
     info_bits = link.polar.K * link.users_per_slot * len(system.finished_runs)
     utilization = tuple(
@@ -551,7 +574,8 @@ def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
         tile_utilization=utilization,
         metrics=metrics,
         digest=machine.engine.digest(),
-        fidelity_failures=failures,
+        fidelity_failures=sum(failures.values()),
+        failed_threads=tuple(sorted(failures)),
         threads_completed=len(system.finished_runs),
         decisions=tuple(system.main.decisions),
         violations=tuple(machine.violation_messages),

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import wbpsim
+from wbpsim import workload
 from wbpsim.cli import (ABLATION_CSV_HEADER, RUN_CSV_HEADER, emit_csv, execute,
                         main, sweep_mix)
 from wbpsim.config import (ConfigError, apply_overrides, parse_config,
@@ -282,6 +283,41 @@ def test_cmd_run_stall_exits_3_and_names_stuck_threads(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "stalled: scheduler made no progress for 10 ticks; "
         "stuck threads [0, 1, 2, 3, 4, 5, 6, 7]\n")
+
+
+def test_cmd_run_names_the_threads_that_fail_the_check(tmp_path, monkeypatch,
+                                                      capsys):
+    # Thread 2 (downlink) delivers one changed sample and thread 1 (uplink)
+    # one flipped decoded bit; the check at finish must see exactly those.
+    make_link_body = workload.make_link_body
+
+    def corrupting(link):
+        body = make_link_body(link)
+
+        def run(spec, payloads, thread):
+            result = body(spec, payloads, thread)
+            role = spec.params["role"]
+            if role == "tx_assemble" and thread.tid == 2:
+                samples = result.thread_output.payload.copy()
+                samples[5] += 0.5
+                result.thread_output = workload.make_token(samples)
+            elif role == "rx_decode" and thread.tid == 1 and spec.params["user"] == 1:
+                bits = result.edge_outputs[0].payload.copy()
+                bits[3] ^= 1
+                result.edge_outputs[0] = workload.make_token(bits)
+            return result
+
+        return run
+
+    monkeypatch.setattr(workload, "make_link_body", corrupting)
+    text = small_config_text().replace("n_slots = 2", "n_slots = 4")
+    report = execute(parse_config(text))
+    assert report.threads_completed == 4
+    assert report.fidelity_failures == 2
+    assert report.failed_threads == (1, 2)
+    capsys.readouterr()
+    assert main(["run", write_config(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == "fidelity failures: 2 (threads 1, 2)\n"
 
 
 def test_idle_gap_between_arrivals_is_not_a_stall():

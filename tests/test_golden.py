@@ -102,7 +102,7 @@ def _feed(sha, value) -> None:
 
 def payload_sha256(setup) -> str:
     """SHA-256 of every spawned thread's input payloads and byte sizes, and
-    of its ``expected`` and ``truth_bits`` meta entries, in thread order."""
+    of its ``truth_bits`` meta entry, in thread order."""
     link = setup.link
     threads = spawn_threads(setup.pattern, setup.n_slots, link, setup.seed,
                             build_tx_dag(link), build_rx_dag(link))
@@ -112,8 +112,6 @@ def payload_sha256(setup) -> str:
                          [token.byte_size for token in thread.inputs])).encode())
         for token in thread.inputs:
             _feed(sha, token.payload)
-        if "expected" in thread.meta:
-            _feed(sha, thread.meta["expected"])
         _feed(sha, thread.meta["truth_bits"])
     return sha.hexdigest()
 
@@ -126,13 +124,13 @@ def payload_sha256(setup) -> str:
 # two uplink slots in a row, so it pins the order of the random draws.
 @pytest.mark.parametrize("name,pattern,snr_db,n_slots,sha", [
     ("sweep-5x9", None, None, None,
-     "679a06527d2189a15136b8369e89f616ad14a3ce63cf6f8f51250b8c34b028e3"),
+     "cd4eef8d29b6ef8b983beb103c7536fe5e653bfff9e28f5a7c2160da448b8753"),
     ("sweep-4x3", None, None, None,
-     "679a06527d2189a15136b8369e89f616ad14a3ce63cf6f8f51250b8c34b028e3"),
+     "cd4eef8d29b6ef8b983beb103c7536fe5e653bfff9e28f5a7c2160da448b8753"),
     ("flat-downlink", None, None, None,
-     "704c9e56f50729184f519929e3378f875cc79e4a383f432fd40d313bac77e803"),
+     "c6fcf05ae0343c53727a2336a56de2ef3b785db85a9adaf6634ae1b5d0e6c060"),
     ("sweep-5x9", "UDDUU", 5.0, 20,
-     "bd9bf9a2253e565f096be3083790a953cd32c5053260d1e6653c509e3b64bbf3"),
+     "159ef472413d4ebaa48cfda7642088a16c1c4b87e3d524cd2ebe92bada922656"),
 ])
 def test_perfbench_thread_payloads_golden(name, pattern, snr_db, n_slots, sha):
     setup = load_config(PERFBENCH_CONFIGS / f"{name}.cfg")

@@ -414,7 +414,7 @@ def test_multithreading_bound_and_liveness():
 
 
 def linear_threads_system(body, tiles, indication_bytes=2048, data_bytes=65536,
-                          n_threads=4):
+                          n_threads=4, check=None):
     """One cluster running ``n_threads`` threads of linear_dag(3), 64-byte
     inputs."""
     config = small_config(
@@ -422,7 +422,7 @@ def linear_threads_system(body, tiles, indication_bytes=2048, data_bytes=65536,
         section_bytes={"TASK_CODE_POOL": 65536, "FIFO_LISTS": 4096,
                        "LOAD_INDICATION": indication_bytes,
                        "COMPUTE_DATA": data_bytes})
-    system = System(Machine(config), FLAT_COST, body)
+    system = System(Machine(config), FLAT_COST, body, check)
     dag = linear_dag(3)
     for tid in range(n_threads):
         system.submit(thread(tid, dag))
@@ -434,11 +434,20 @@ def test_full_load_indication_backs_off_dispatch():
     # second tile's dispatches back off until it frees; no placement waits.
     counts = []
     for indication_bytes in (16, 2048):
+        delivered = {}  # a finished run keeps no outputs; the check gets them
+
+        def check(run, outputs):
+            delivered[run.thread.tid] = outputs
+
         system = linear_threads_system(make_passthrough_body(), ("L", "L"),
-                                       indication_bytes=indication_bytes)
+                                       indication_bytes=indication_bytes,
+                                       check=check)
         system.run()
-        assert system.finished_runs.keys() == system.threads.keys()
-        assert all(list(run.instance.outputs) == ["t2"]
+        assert system.finished_runs.keys() == system.threads.keys() == \
+            delivered.keys()
+        assert all([token.payload for token in outputs] == ["t2"]
+                   for outputs in delivered.values())
+        assert all(not run.instance.outputs
                    for run in system.finished_runs.values())
         assert not any(d.action == "wait" for d in system.main.decisions)
         counts.append(system.metrics.backpressure_events)

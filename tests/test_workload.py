@@ -1,14 +1,17 @@
 """Link dags, thread spawning, and end-to-end simulated experiments."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wbpsim import kernels
-from wbpsim.config import parse_config
+from wbpsim.config import load_config, parse_config
 from wbpsim.dag import TaskSpec, TaskState
 from wbpsim.kernels import OfdmConfig, PolarCode
 from wbpsim.machine import MachineConfig
@@ -313,13 +316,16 @@ def test_spawn_threads_payloads_match_per_user_reference(users, snr, pattern):
     tdd = TddPattern.parse(pattern, 1000)
     tx_dag = build_tx_dag(dataclasses.replace(link, users_per_slot=max(1, users)))
     threads = spawn_threads(tdd, 7, link, 3, tx_dag, build_rx_dag(link))
+    pilot = pilot_symbol_freq(link)
     for thread, (kind, bits, inputs, expected, noise_var) in zip(
             threads, reference_payloads(tdd, 7, link, 3), strict=True):
         assert thread.meta["kind"] == kind
         assert thread.meta["truth_bits"].tobytes() == bits.tobytes()
         if kind == "tx":
             payloads = [token.payload for token in thread.inputs]
-            assert thread.meta["expected"].tobytes() == expected.tobytes()
+            # A transmit slot is checked against frames derived from its bits.
+            assert tx_frames(link, thread.meta["truth_bits"], pilot).tobytes() \
+                == expected.tobytes()
         else:
             (token,) = thread.inputs
             bundle = token.payload
@@ -333,10 +339,11 @@ def test_spawn_threads_payloads_match_per_user_reference(users, snr, pattern):
             [payload_bytes(t.payload) for t in thread.inputs]
 
 
-@pytest.mark.parametrize("pattern,calls", [("DU", 3), ("UD", 4)])
+@pytest.mark.parametrize("pattern,calls", [("DU", 3), ("UD", 3)])
 def test_spawn_threads_encodes_each_slot_once(pattern, calls, monkeypatch):
-    # One batched encode per downlink slot, shared with the uplink slot that
-    # follows; an uplink slot 0 encodes its own frames.
+    # Frames are built once per paired downlink slot, in one batched encode
+    # that the uplink slot after it uses; an uplink slot 0 encodes its own
+    # frames, and UD's last downlink slot pairs with no uplink slot.
     link = small_link(users=4)
     tx_dag, rx_dag = build_tx_dag(link), build_rx_dag(link)
     shapes = []
@@ -436,6 +443,53 @@ def test_noisy_run_counts_failures_without_raising():
     noisy = run_experiment(small_machine(), link, TddPattern(("U",), 8000), 2, 1)
     assert noisy.threads_completed == 2  # failures recorded, run completes
     assert noisy.fidelity_failures >= 0
+
+
+def test_run_experiment_leaves_no_cycle():
+    # The check that run_experiment hands its System must not refer to the
+    # System: then the run's state is freed without the cycle collector.
+    refs = []
+    gc.disable()
+    try:
+        report = run_experiment(small_machine(), small_link(),
+                                TddPattern(("D", "U"), 8000), 4, 1,
+                                fault_hook=lambda m: refs.append(weakref.ref(m)))
+        assert report.threads_completed == 4 and report.fidelity_failures == 0
+        assert refs[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_memory_does_not_grow_with_slots_delivered():
+    # flat-downlink delivers one transmit slot per slot. Were a run to keep
+    # each slot's delivered frames, or frames built at set-up to check them
+    # against, its traced peak would grow by one slot's frame bytes per slot
+    # (keeping both, by two). The bound is half of that, so keeping either
+    # fails it; what a slot does keep (its info bits, its run record, its
+    # decision-log entries) grows the peak by about a fifth of it.
+    setup = load_config(Path(__file__).resolve().parent.parent
+                        / "perfbench" / "configs" / "flat-downlink.cfg")
+    link = setup.link
+    frame_bytes = tx_frames(link, np.zeros((link.users_per_slot, link.polar.K),
+                                           dtype=np.int8),
+                            pilot_symbol_freq(link)).nbytes
+
+    def traced_peak(n_slots):
+        tracemalloc.start()
+        try:
+            report = run_experiment(
+                setup.machine, link, setup.pattern, n_slots, setup.seed,
+                multithreading=setup.multithreading,
+                lazy_deletion=setup.lazy_deletion)
+            assert report.threads_completed == n_slots
+            assert report.fidelity_failures == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_experiment(setup.machine, link, setup.pattern, 2, setup.seed)  # warm-up
+    growth = traced_peak(40) - traced_peak(10)
+    assert growth < 30 * frame_bytes / 2
 
 
 def test_multithreading_and_lazy_deletion_improve_throughput():
