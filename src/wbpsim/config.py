@@ -77,7 +77,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("cost", "csr_write_cycles"): (int, _MACHINE.dma.csr_write_cycles),
     ("cost", "thread_eval_cycles"): (int, _MACHINE.thread_eval_cycles),
     ("cost", "scan_visit_cycles"): (int, _MACHINE.scan_visit_cycles),
-    ("cost", "sched_tick_cycles"): (int, _MACHINE.sched_tick_cycles),
     ("run", "n_slots"): (int, 20),
     ("run", "seed"): (int, 1),
     ("run", "multithreading"): (_parse_bool, True),
@@ -141,7 +140,7 @@ def _build_setup(values: dict[tuple[str, str], object]) -> RunSetup:
               or "D" not in pattern.slots[:get("run", "n_slots")],
               "users_per_slot", "must be >= 1 when a downlink slot runs")
     for key in ("dma_setup_cycles", "dma_bytes_per_cycle", "csr_write_cycles",
-                "thread_eval_cycles", "scan_visit_cycles", "sched_tick_cycles"):
+                "thread_eval_cycles", "scan_visit_cycles"):
         invariant(get("cost", key) > 0, key, "must be positive")
     invariant(get("cost", "ref_lanes") >= 1, "ref_lanes", "must be >= 1")
 
@@ -167,7 +166,6 @@ def _build_setup(values: dict[tuple[str, str], object]) -> RunSetup:
             clock_hz=get("system", "clock_mhz") * 1e6,
             thread_eval_cycles=get("cost", "thread_eval_cycles"),
             scan_visit_cycles=get("cost", "scan_visit_cycles"),
-            sched_tick_cycles=get("cost", "sched_tick_cycles"),
             strict=get("run", "strict"),
         )
         cost_params = CostParams(serial_fraction=get("cost", "serial_fraction"),

@@ -352,17 +352,19 @@ class DagInstance:
         if self.states.get(edge.src) is not TaskState.DISMISSED:
             self._input_satisfied(edge.dst)
 
-    def pop_inputs(self, task_id: str) -> list[Token]:
-        if not self.is_ready(task_id):
+    def pop_inputs(self, task_id: str, edges: list[int]) -> list[Token]:
+        """Take the tokens of a ready task's ``edges``, its ``live_in_edges``."""
+        index = self.dag._topo_index[task_id]
+        ready = self._ready[self.dag.tasks[task_id].attribute]
+        if index not in ready:
             raise RuntimeError(f"pop_inputs on non-ready task {task_id}")
         tokens = []
-        for idx in self.live_in_edges(task_id):
+        for idx in edges:
             tokens.append(self.fifos[idx])
             self.fifos[idx] = None
-            self.missing[task_id] += 1
-        if self.missing[task_id]:
-            self._ready[self.dag.tasks[task_id].attribute].discard(
-                self.dag._topo_index[task_id])
+        self.missing[task_id] += len(edges)
+        if edges:
+            ready.discard(index)
         return tokens
 
     def apply_dismissal(self, rule: DismissalRule, observed_count: int) -> list[str]:

@@ -37,8 +37,8 @@ class ProtocolViolation(RuntimeError):
 
 
 class SimulationStalled(RuntimeError):
-    """The run cannot finish: it made no progress, drained with live threads,
-    or exceeded its event budget."""
+    """The run cannot finish: its event queue drained while threads were
+    live, or it exceeded its event budget."""
 
 
 class AllocationFailure(RuntimeError):
@@ -49,7 +49,6 @@ class EventKind(enum.Enum):
     DMA_DONE = "dma_done"
     TILE_DONE = "tile_done"
     INTERRUPT = "interrupt"
-    SCHED_TICK = "sched_tick"
     THREAD_ARRIVAL = "thread_arrival"
 
 
@@ -140,11 +139,6 @@ class EventEngine:
         while self._heap and self._heap[0][0] <= t:
             self._step(handler, max_events)
         self._now = max(self._now, t)
-
-    @property
-    def pending(self) -> int:
-        """Posted events not yet dispatched."""
-        return len(self._heap)
 
     def digest(self) -> str:
         return self._digest.hexdigest()
@@ -339,7 +333,6 @@ class MachineConfig:
     clock_hz: float = 500e6
     thread_eval_cycles: int = 50
     scan_visit_cycles: int = 10
-    sched_tick_cycles: int = 1000  # retry period while work waits, not a heartbeat
     strict: bool = True
 
     def __post_init__(self):

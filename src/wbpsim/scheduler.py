@@ -54,18 +54,13 @@ them is a bug.
 ``System.handle`` only schedules: the machine changes tile states, keeps
 tile time and posts every event of a tile job. An event's ctx is its
 subject: the ``ThreadDescriptor`` of an arrival, the ``ThreadRun`` of a
-thread bundle, the ``TaskRun`` of a tile job, None for the tick.
+thread bundle, the ``TaskRun`` of a tile job.
 
-A ``SCHED_TICK`` retries what waits on time, and is posted only while
-something does. Three waits raise ``System.tick_wanted``: a placement try
-that fails after the LRU path, a dispatch that backs off (a deployment
-failure or a full ``LOAD_INDICATION`` section) and a stalled retrieval.
-A thread that waits for a thread slot raises nothing, because the slot's
-release re-runs ``evaluate``; each of the three waits is retried by the
-next tick. After an event that raised the flag, or that left the queue
-empty while threads live, ``handle`` posts a tick on the next multiple of
-``sched_tick_cycles`` after now, unless one is already posted. A tick
-posts no further tick by itself.
+Each wait resumes on the event that frees it; nothing polls. A pending
+thread is tried on each arrival and each thread completion. LOAD_INDICATION
+frees only in ``complete_task``, and COMPUTE_DATA only there or in a dispatch;
+both end in a scan of the cluster, which retries its stalled retrievals. So
+a run whose queue drains while threads live has stalled.
 
 All mutation happens inside the single-threaded event loop, so a (config,
 seed) pair always yields the same event stream and trace digest.
@@ -304,6 +299,8 @@ class ClusterScheduler:
                 if task_run is not None:
                     dispatched.append(task_run)
             base += pending
+        if self.stalled_retrievals:
+            self.retry_stalled(now)
         return dispatched
 
     def _dispatch(self, run: ThreadRun, task_id: str, tile: TileState,
@@ -312,20 +309,18 @@ class ClusterScheduler:
         dag = run.thread.dag
         spec = dag.tasks[task_id]
         live_edges = instance.live_in_edges(task_id)
-        in_tokens = [instance.fifos[idx] for idx in live_edges]
-        in_bytes = sum(t.byte_size for t in in_tokens)
+        in_bytes = sum(instance.fifos[idx].byte_size for idx in live_edges)
         if spec.code_bytes + in_bytes > tile.tspm_capacity:
-            # Deployment failure: the task stays ready and is retried later.
+            # Deployment failure: the task stays ready; every tile has the
+            # same tspm, so no retry can succeed.
             self.system.metrics.deployment_failures += 1
-            self.system.tick_wanted = True
             return None
         indication = self.cluster.sections["LOAD_INDICATION"]
         if not indication.would_fit(LOAD_INDICATION_BYTES):
             self.system.metrics.backpressure_events += 1
-            self.system.tick_wanted = True
             return None
         ind_region = indication.alloc(LOAD_INDICATION_BYTES)
-        tokens = instance.pop_inputs(task_id)
+        tokens = instance.pop_inputs(task_id, live_edges)
         for token in tokens:
             self.cluster.sections["COMPUTE_DATA"].free_region(token.region)
         result = self.system.execute_body(spec, tokens, run.thread)
@@ -345,9 +340,7 @@ class ClusterScheduler:
         compute = self.cluster.sections["COMPUTE_DATA"]
         sizes = [t.byte_size for t in task_run.result.returned_tokens()]
         if not compute.would_fit(*sizes):
-            self.system.metrics.retrieval_stalls += 1
             self.stalled_retrievals.append(task_run)
-            self.system.tick_wanted = True
             return False
         task_run.output_regions = [compute.alloc(size) for size in sizes]
         self.system.machine.begin_retrieval(
@@ -582,7 +575,6 @@ class MainScheduler:
         self.system.metrics.backpressure_events += 1
         self.decisions.append(Decision(now, thread.tid, "wait",
                                        -1 if cid is None else cid, evicted))
-        self.system.tick_wanted = True
         return False
 
     def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> list[str]:
@@ -643,9 +635,6 @@ class System:
         self.threads: dict[int, ThreadDescriptor] = {}
         self.finished_runs: dict[int, ThreadRun] = {}
         self.last_completion = 0
-        self.tick_wanted = False  # see the module docstring
-        self._tick_posted = False
-        self._stall_ticks = 0
         self._dag_classes: dict[str, set[str]] = {}
         # Tile classes per cluster; the tiles are fixed for the whole run.
         self._cluster_classes = [{t.tile_class for t in c.tiles}
@@ -684,9 +673,11 @@ class System:
         except SimulationStalled as exc:
             raise SimulationStalled(
                 f"{exc}; stuck threads {self._live_tids()}") from None
+        # Every wait resumes on an event, so a drained queue is a stall.
         live = self._live_tids()
         if live:
-            raise SimulationStalled(f"simulation drained with live threads {live}")
+            raise SimulationStalled(
+                f"scheduler made no progress; stuck threads {live}")
 
     def execute_body(self, spec, tokens, thread) -> BodyResult:
         return self.body_fn(spec, [t.payload for t in tokens], thread)
@@ -701,32 +692,8 @@ class System:
 
     # -- event handling ----------------------------------------------------------
 
-    def _post_tick(self, time: int) -> None:
-        if not self._tick_posted:
-            self.machine.engine.post(Event(time=time, kind=EventKind.SCHED_TICK))
-            self._tick_posted = True
-
     def _live_tids(self) -> list[int]:
         return [tid for tid in self.threads if tid not in self.finished_runs]
-
-    def _check_progress(self) -> None:
-        """Fail fast when live threads exist but nothing can ever advance.
-
-        The engine holds a posted event while anything is in flight: a
-        transfer, a running tile, an interrupt or an arrival (this tick is
-        already dispatched). A tick that leaves the queue empty posted
-        nothing, so ``handle`` posts the next tick, which finds the same
-        state and does the same nothing; a stalled retrieval waits on
-        scratchpad space, not on time. Ten such ticks in a row end the run.
-        """
-        if self.machine.engine.pending:
-            self._stall_ticks = 0
-            return
-        self._stall_ticks += 1
-        if self._stall_ticks >= 10:
-            # run() adds the stuck threads to the message.
-            raise SimulationStalled(
-                f"scheduler made no progress for {self._stall_ticks} ticks")
 
     def handle(self, event: Event) -> None:
         now = event.time
@@ -734,21 +701,14 @@ class System:
         if kind is EventKind.THREAD_ARRIVAL:
             self.main.pending.append(subject)
             self.main.evaluate(now)
-        elif kind is EventKind.SCHED_TICK:
-            # Retry every wait; one that fails again raises tick_wanted.
-            self._tick_posted = False
-            self.main.evaluate(now)
-            for sched in self.cluster_scheds:
-                sched.retry_stalled(now)
-                sched.scan(now)
-            if len(self.finished_runs) != len(self.threads):
-                self._check_progress()
         elif kind is EventKind.DMA_DONE:
             self.metrics.dma_bytes += event.nbytes
             if isinstance(subject, ThreadRun):  # the thread's bundle
                 sched = self.cluster_scheds[subject.cluster_id]
                 sched.admit_instance(subject)
-                if subject.instance.is_complete():  # degenerate zero-task dag
+                # A zero-task dag has no edges, so its finish frees no
+                # COMPUTE_DATA and needs no scan to retry a retrieval.
+                if subject.instance.is_complete():
                     sched.finish_thread(subject, now)
                 else:
                     sched.scan(now)
@@ -761,19 +721,15 @@ class System:
         elif kind is EventKind.TILE_DONE:
             self.machine.tile_finish(subject.tile)
         elif kind is EventKind.INTERRUPT:
-            self.cluster_scheds[subject.run.cluster_id].start_retrieval(
-                subject, now)
+            if not self.cluster_scheds[subject.run.cluster_id].start_retrieval(
+                    subject, now):
+                self.metrics.retrieval_stalls += 1
         else:
             raise RuntimeError(f"unhandled event kind {event.kind}")
         self.machine.check_invariants()
         for sched in self.cluster_scheds:
             if len(sched.runs) > sched.cluster.max_threads:
                 raise RuntimeError(f"cluster {sched.cluster.cluster_id} over thread limit")
-        if self.tick_wanted or not self.machine.engine.pending:
-            self.tick_wanted = False
-            if len(self.finished_runs) != len(self.threads):
-                period = self.machine.config.sched_tick_cycles
-                self._post_tick((now // period + 1) * period)
 
     def on_thread_done(self, run: ThreadRun, outputs: list[Token], now: int) -> None:
         if self.check is not None:

@@ -106,7 +106,7 @@ def test_3c4t_config_matches_expected_shape():
 def test_render_config_echoes_every_key_and_roundtrips():
     setup = parse_config(MINIMAL)
     text = render_config(setup)
-    for key in ("clusters", "tile_mix", "polar_n", "snr_db", "sched_tick_cycles",
+    for key in ("clusters", "tile_mix", "polar_n", "snr_db", "scan_visit_cycles",
                 "multithreading", "slot_cycles"):
         assert key in text
     again = parse_config(text)
@@ -148,7 +148,6 @@ dma_bytes_per_cycle = 16
 dma_setup_cycles = 20
 ref_lanes = 64
 scan_visit_cycles = 10
-sched_tick_cycles = 1000
 serial_fraction = 0.2
 thread_eval_cycles = 50
 
@@ -281,7 +280,7 @@ def test_cmd_run_stall_exits_3_and_names_stuck_threads(tmp_path, capsys):
         "[system]\n", "[system]\ntspm_bytes = 2000\n")
     assert main(["run", write_config(tmp_path, text)]) == 3
     assert capsys.readouterr().err == (
-        "stalled: scheduler made no progress for 10 ticks; "
+        "stalled: scheduler made no progress; "
         "stuck threads [0, 1, 2, 3, 4, 5, 6, 7]\n")
 
 
@@ -321,8 +320,8 @@ def test_cmd_run_names_the_threads_that_fail_the_check(tmp_path, monkeypatch,
 
 
 def test_idle_gap_between_arrivals_is_not_a_stall():
-    # Each slot's work ends more than 10 ticks before the next arrival; the
-    # queued arrival keeps the run busy through the gap.
+    # Each slot's work ends long before the next arrival; the queued
+    # arrival keeps the run busy through the gap.
     setup = parse_config(
         "[system]\nclusters = 1\ntiles_per_cluster = 4\ntile_mix = L,L,S,S\n"
         "[link]\nusers_per_slot = 1\n"

@@ -171,7 +171,7 @@ def test_edge_holds_one_token():
     inst.push_token(0, first)
     with pytest.raises(RuntimeError, match="edge 0 already holds a token"):
         inst.push_token(0, tok(payload="2"))
-    assert inst.pop_inputs("t0") == [first]
+    assert inst.pop_inputs("t0", inst.live_in_edges("t0")) == [first]
     assert inst.fifos[0] is None
 
 
@@ -179,7 +179,7 @@ def test_pop_on_non_ready_rejected():
     dag = chain(2).freeze()
     inst = DagInstance(dag)
     with pytest.raises(RuntimeError):
-        inst.pop_inputs("t1")
+        inst.pop_inputs("t1", inst.live_in_edges("t1"))
 
 
 def fan_out_dag(group_size=20):
@@ -232,7 +232,7 @@ def test_dismissal_adjusts_join_arity():
     inst.set_state("dec00", TaskState.RUNNING)
     inst.set_state("dec00", TaskState.DONE)
     assert "sink" in inst.ready_tasks()
-    assert len(inst.pop_inputs("sink")) == 1
+    assert len(inst.pop_inputs("sink", inst.live_in_edges("sink"))) == 1
 
 
 def test_dismissal_rejects_bad_count_and_dispatched_members():
@@ -350,10 +350,10 @@ def test_incremental_readiness_matches_oracle(name, ops):
                 pass
         elif op == "pop":
             if inst.is_ready(task):
-                inst.pop_inputs(task)
+                inst.pop_inputs(task, inst.live_in_edges(task))
             else:
                 with pytest.raises(RuntimeError):
-                    inst.pop_inputs(task)
+                    inst.pop_inputs(task, inst.live_in_edges(task))
         elif op == "advance" and state in NEXT_STATE:
             inst.set_state(task, NEXT_STATE[state])
         elif op == "dismiss" and state is TaskState.WAITING:

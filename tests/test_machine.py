@@ -15,8 +15,9 @@ from wbpsim.machine import (AllocationFailure, DmaEngine, Event, EventEngine,
 TIMING = DmaTiming(setup_cycles=20, bytes_per_cycle=16, csr_write_cycles=4)
 
 
-def tick(t, **kw):
-    return Event(time=t, kind=EventKind.SCHED_TICK, **kw)
+def bare(t, **kw):
+    """An event that no handler here gives a meaning to."""
+    return Event(time=t, kind=EventKind.DMA_DONE, **kw)
 
 
 # -- event engine -------------------------------------------------------------
@@ -25,19 +26,19 @@ def tick(t, **kw):
 def test_events_dispatch_in_time_then_post_order():
     engine = EventEngine()
     seen = []
-    engine.post(tick(5, cluster=1))
-    engine.post(tick(3, cluster=2))
-    engine.post(tick(5, cluster=3))
+    engine.post(bare(5, cluster=1))
+    engine.post(bare(3, cluster=2))
+    engine.post(bare(5, cluster=3))
     engine.run(lambda e: seen.append((e.time, e.cluster)))
     assert seen == [(3, 2), (5, 1), (5, 3)]
 
 
 def test_post_in_past_rejected():
     engine = EventEngine()
-    engine.post(tick(10))
+    engine.post(bare(10))
     engine.run(lambda e: None)
     with pytest.raises(RuntimeError):
-        engine.post(tick(5))
+        engine.post(bare(5))
 
 
 def test_handler_posts_preserve_order():
@@ -47,11 +48,11 @@ def test_handler_posts_preserve_order():
     def handler(event):
         seen.append((event.time, event.cluster))
         if event.cluster == 0:
-            engine.post(tick(event.time, cluster=10))  # same time, later seq
-            engine.post(tick(event.time + 2, cluster=11))
+            engine.post(bare(event.time, cluster=10))  # same time, later seq
+            engine.post(bare(event.time + 2, cluster=11))
 
-    engine.post(tick(1, cluster=0))
-    engine.post(tick(2, cluster=1))
+    engine.post(bare(1, cluster=0))
+    engine.post(bare(2, cluster=1))
     engine.run(handler)
     assert seen == [(1, 0), (1, 10), (2, 1), (3, 11)]
 
@@ -65,7 +66,7 @@ def test_run_until_advances_clock_on_empty_queue():
 def test_run_until_enforces_event_budget():
     engine = EventEngine()
     for t in (1, 2, 3):
-        engine.post(tick(t))
+        engine.post(bare(t))
     with pytest.raises(RuntimeError, match="event budget"):
         engine.run_until(10, lambda e: None, max_events=2)
 
@@ -74,7 +75,7 @@ def test_digest_reproducible_and_seed_sensitive():
     def stream(order):
         engine = EventEngine()
         for t, c in order:
-            engine.post(tick(t, cluster=c))
+            engine.post(bare(t, cluster=c))
         engine.run(lambda e: None)
         return engine.digest()
 
@@ -89,14 +90,14 @@ def test_digest_reproducible_and_seed_sensitive():
 def test_trace_output_does_not_change_digest(tmp_path):
     def run(trace):
         engine = EventEngine(trace_path=str(tmp_path / "t.jsonl") if trace else None)
-        engine.post(tick(1, cluster=0))
-        engine.post(tick(4, cluster=1))
+        engine.post(bare(1, cluster=0))
+        engine.post(bare(4, cluster=1))
         engine.run(lambda e: None)
         return engine.digest()
 
     assert run(False) == run(True)
     lines = (tmp_path / "t.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 2 and '"kind": "sched_tick"' in lines[0]
+    assert len(lines) == 2 and '"kind": "dma_done"' in lines[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -105,7 +106,7 @@ def test_dispatch_times_never_decrease(times):
     engine = EventEngine()
     seen = []
     for t in times:
-        engine.post(tick(t))
+        engine.post(bare(t))
     engine.run(lambda e: seen.append(e.time))
     assert seen == sorted(times)
 
@@ -338,7 +339,7 @@ def test_completion_protocol_and_interrupt_time():
     assert tile.run_state is RunState.IDLE
     assert tile.since == event.time
     assert tile.busy_cycles == 300
-    assert machine.engine.pending == 0
+    assert not machine.engine._heap  # no event left posted
 
 
 # Each protocol step and the state it needs; the step moves the tile to the

@@ -27,7 +27,6 @@ def small_config(**kw):
         clusters=3, tile_mix=("L",), max_threads=2,
         section_bytes={"TASK_CODE_POOL": 5000, "FIFO_LISTS": 4096,
                        "LOAD_INDICATION": 2048, "COMPUTE_DATA": 65536},
-        sched_tick_cycles=1000,
     )
     defaults.update(kw)
     return MachineConfig(**defaults)
@@ -263,8 +262,9 @@ def test_over_full_run_table_fails_the_event():
     system = build_system()
     for tid in range(3):  # max_threads is 2
         in_flight(system, 1, tid, one_task_dag())
+    arrival = thread(3, one_task_dag())
     with pytest.raises(RuntimeError, match="^cluster 1 over thread limit$"):
-        system.handle(Event(time=0, kind=EventKind.SCHED_TICK))
+        system.handle(Event(time=0, kind=EventKind.THREAD_ARRIVAL, ctx=arrival))
 
 
 def test_admitting_or_finishing_a_run_out_of_turn_fails():
@@ -372,7 +372,6 @@ def test_eager_deletion_keeps_code_until_the_last_overlapping_thread_ends():
     pool = system.machine.clusters[0].sections["TASK_CODE_POOL"]
     system.submit(thread(0, dag, arrival=0))
     system.submit(thread(1, dag, arrival=1))
-    system._post_tick(config.sched_tick_cycles)
     step_until(system, lambda: system.finished_runs)
     assert list(system.finished_runs) == [0]
     assert list(system.cluster_scheds[0].runs) == [1]
@@ -456,18 +455,20 @@ def test_full_load_indication_backs_off_dispatch():
 
 def test_retrieval_deadlock_is_reported_as_stall():
     # Three queued 64-byte inputs hold 192 of 256 data bytes, so the tile's
-    # 128-byte output never fits and its retrieval stalls for good. The
-    # budget keeps a detector that misses this from running for minutes.
+    # 128-byte output never fits and its retrieval stalls for good. No event
+    # is left to free it, so the queue drains when the last tile job ends.
+    # The budget keeps a scheduler that polls instead from running for
+    # minutes.
     system = linear_threads_system(make_passthrough_body(token_bytes=128),
                                    ("L",), data_bytes=256, n_threads=6)
     engine = system.machine.engine
     engine.run = functools.partial(engine.run, max_events=50_000)
     with pytest.raises(SimulationStalled) as info:
         system.run()
-    assert str(info.value) == ("scheduler made no progress for 10 ticks; "
+    assert str(info.value) == ("scheduler made no progress; "
                                "stuck threads [0, 1, 2, 3, 4, 5]")
-    assert engine.now == 12000
-    assert system.metrics.retrieval_stalls > 0
+    assert engine.now == 2646
+    assert system.metrics.retrieval_stalls == 1
 
 
 def step_until(system, done):
@@ -477,52 +478,100 @@ def step_until(system, done):
 
 
 def test_retrieval_that_fits_one_of_two_tokens_stalls_then_completes(monkeypatch):
-    # Task a returns one 128-byte token per successor. With 192 data bytes
-    # free the first fits and the second does not, so the retrieval stalls
-    # and leaves the section as it was; once space frees it takes both.
-    dag = Dag()
+    # Task a returns one 128-byte token per successor. Thread 2's 832-byte
+    # input waits for the one S tile, which thread 1's long task holds, so
+    # with 192 data bytes free the first token fits and the second does not:
+    # the retrieval stalls and leaves the section as it was. Thread 1's
+    # completion frees the S tile, thread 2's dispatch there frees its
+    # input, and the scan of that same event resumes the retrieval.
+    fan = Dag()
     for task_id in ("a", "b", "c"):
-        dag.add_task(TaskSpec(task_id=task_id, kernel="assemble",
-                              attribute="ANY", code_bytes=512))
-    dag.add_edge("EXTERNAL", "a")
-    dag.add_edge("a", "b")
-    dag.add_edge("a", "c")
-    dag.freeze()
-    config = small_config(clusters=1, section_bytes={
-        "TASK_CODE_POOL": 5000, "FIFO_LISTS": 4096, "LOAD_INDICATION": 2048,
-        "COMPUTE_DATA": 1024})
-    system = System(Machine(config), FLAT_COST,
-                    make_passthrough_body(token_bytes=128))
+        fan.add_task(TaskSpec(task_id=task_id, kernel="assemble",
+                              attribute="LARGE", code_bytes=512))
+    fan.add_edge("EXTERNAL", "a")
+    fan.add_edge("a", "b")
+    fan.add_edge("a", "c")
+    fan.freeze()
+    small = {tag: linear_dag(1, kernel="assemble", attr="SMALL",
+                             code_bytes=512, tag=tag) for tag in ("s", "f")}
+    config = small_config(clusters=1, tile_mix=("L", "S"), max_threads=3,
+                          section_bytes={"TASK_CODE_POOL": 8192,
+                                         "FIFO_LISTS": 4096,
+                                         "LOAD_INDICATION": 2048,
+                                         "COMPUTE_DATA": 1024})
+    passthrough = make_passthrough_body(token_bytes=128)
+
+    def body(spec, payloads, thread):
+        result = passthrough(spec, payloads, thread)
+        if spec.task_id == "s0":  # thread 1 holds the S tile for long
+            result.cost_items = [("assemble", 64, 10)]
+        return result
+
+    finished = {}  # thread id -> (event count, time) of its completion
+    system = System(Machine(config), FLAT_COST, body,
+                    lambda run, outputs: finished.setdefault(
+                        run.thread.tid, (engine.dispatched, run.completed_at)))
+    engine = system.machine.engine
     compute = system.machine.clusters[0].sections["COMPUTE_DATA"]
-    calls = []
+    calls = []  # task a's retrieval attempts
     original = ClusterScheduler.start_retrieval
 
     def recording(self, task_run, now):
         before = (dict(compute.allocations), list(compute._spans))
         started = original(self, task_run, now)
-        calls.append((task_run, started, before,
-                      (dict(compute.allocations), list(compute._spans))))
+        if task_run.task_id == "a":
+            calls.append((task_run, started, engine.dispatched, now, before,
+                          (dict(compute.allocations), list(compute._spans))))
         return started
 
     monkeypatch.setattr(ClusterScheduler, "start_retrieval", recording)
-    system.submit(thread(0, dag))
-    system._post_tick(config.sched_tick_cycles)
-    step_until(system, lambda: system.metrics.dispatched_tasks == 1)
-    assert compute.allocations == {}  # the input left with the deploy
-    filler = compute.alloc(compute.capacity - 192)
-    step_until(system, lambda: calls)
-    task_run, started, before, after = calls[0]
-    assert task_run.task_id == "a" and not started
-    assert after == before
+    system.submit(thread(0, fan))
+    system.submit(thread(1, small["s"]))
+    system.submit(thread(2, small["f"], nbytes=832))
+    system.run()
+    assert len(calls) == 2
+    _, started, _, stalled_at, before, after = calls[0]
+    assert not started and after == before
+    assert sorted(size for _, size in before[0].values()) == [832]
+    task_run, started, event, now, _, _ = calls[1]
+    assert started and len(set(task_run.output_regions)) == 2
+    assert (event, now) == finished[1] and now > stalled_at
+    run = system.finished_runs[0]
+    assert run.completed_at > now
     assert system.metrics.retrieval_stalls == 1
-    compute.free_region(filler)
-    system.machine.engine.run(system.handle)
-    task_run, started, before, after = calls[1]
-    assert task_run.task_id == "a" and started
-    assert len(set(task_run.output_regions)) == 2
-    assert 0 in system.finished_runs
-    assert system.metrics.retrieval_stalls == 1
+    assert finished.keys() == {0, 1, 2}
     assert compute.allocations == {}
+
+
+def test_placement_waiting_for_data_room_is_placed_by_the_completion_that_frees_it():
+    # Thread 0's t0 hands back a 768-byte thread output, which stays in
+    # COMPUTE_DATA until the thread finishes. Thread 1 arrives while t1 runs
+    # and finds a free slot but no room for its 512-byte input, so it waits;
+    # thread 0's completion frees the room and places it at that time.
+    config = small_config(clusters=1, max_threads=2, section_bytes={
+        "TASK_CODE_POOL": 16384, "FIFO_LISTS": 4096, "LOAD_INDICATION": 2048,
+        "COMPUTE_DATA": 1024})
+    passthrough = make_passthrough_body()
+
+    def body(spec, payloads, thread):
+        result = passthrough(spec, payloads, thread)
+        if spec.task_id == "t0":
+            result.thread_output = Token("out", 768)
+        elif spec.task_id == "t1":  # long enough for thread 1 to arrive
+            result.cost_items = [("assemble", 64, 10)]
+        return result
+
+    system = System(Machine(config), FLAT_COST, body)
+    system.submit(thread(0, linear_dag(2)))
+    system.submit(thread(1, one_task_dag(), arrival=10_000, nbytes=512))
+    system.run()
+    done = system.finished_runs[0].completed_at
+    # The one wait is thread 1's only try before the completion: nothing
+    # polls it in the thousands of cycles between.
+    assert done > 15_000
+    assert [(d.time, d.thread, d.action) for d in system.main.decisions] == [
+        (0, 0, "admit"), (10_000, 1, "wait"), (done, 1, "admit")]
+    assert system.finished_runs.keys() == {0, 1}
 
 
 # ---------------------------------------------------------------------------
