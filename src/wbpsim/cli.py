@@ -19,7 +19,7 @@ from .config import ConfigError, RunSetup, apply_overrides, load_config, \
 from .costmodel import (CostModel, InsufficientAnchorsError, fit_scaling,
                         load_anchor_file)
 from .dag import dump_dag
-from .machine import PortDirection, ProtocolViolation, SimulationStalled
+from .machine import ProtocolViolation, SimulationStalled
 from .scheduler import UncoveredDag
 from .workload import ThroughputReport, build_rx_dag, build_tx_dag, run_experiment
 
@@ -111,18 +111,6 @@ def echo_config(setup: RunSetup, out=None) -> None:
         out.write(f"# cost law {kernel}: a={a:.6g} b={b:.6g}{tag}\n")
 
 
-def _install_port_fault(machine) -> None:
-    """Test hook: force a port-exclusivity violation on the first deploy."""
-    original = machine.finish_deploy
-
-    def broken(tile):
-        tile.port = PortDirection.CORE
-        machine.finish_deploy = original
-        return original(tile)
-
-    machine.finish_deploy = broken
-
-
 def cmd_run(args) -> int:
     setup = load_config(args.config)
     setup = apply_overrides(
@@ -131,9 +119,6 @@ def cmd_run(args) -> int:
         lazy_deletion=False if args.no_lazy_deletion else None,
         strict=args.strict)
     echo_config(setup)
-    fault_hook = None
-    if os.environ.get("WBPSIM_INJECT_FAULT") == "port":
-        fault_hook = _install_port_fault
     if args.dump_dags:
         os.makedirs(args.dump_dags, exist_ok=True)
         if setup.link.users_per_slot >= 1:
@@ -142,7 +127,7 @@ def cmd_run(args) -> int:
         with open(os.path.join(args.dump_dags, "rx.dag"), "w") as fh:
             fh.write(dump_dag(build_rx_dag(setup.link)))
     try:
-        report = execute(setup, trace_path=args.trace, fault_hook=fault_hook)
+        report = execute(setup, trace_path=args.trace)
     except ProtocolViolation as exc:
         print(f"protocol violation: {exc}", file=sys.stderr)
         return 2

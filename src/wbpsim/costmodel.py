@@ -93,7 +93,6 @@ class CostParams:
     laws: dict[str, tuple[float, float]] = field(default_factory=dict)
     serial_fraction: float = 0.2
     ref_lanes: int = 64
-    estimated: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if not 0.0 <= self.serial_fraction <= 1.0:
@@ -161,7 +160,7 @@ class CostModel:
             self.anchors[key] = anchor
             per_kernel.setdefault(anchor.kernel, []).append(anchor)
         laws = dict(params.laws)
-        estimated = set(params.estimated) | (set(DEFAULT_LAWS) - set(laws))
+        estimated = set(DEFAULT_LAWS) - set(laws)
         for kernel, kernel_anchors in per_kernel.items():
             if len(kernel_anchors) >= 2:
                 a, b = fit_scaling(kernel_anchors)[:2]

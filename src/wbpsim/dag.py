@@ -30,7 +30,6 @@ ATTRIBUTES = ("LARGE", "SMALL", "ANY")
 class TaskState(enum.Enum):
     WAITING = "waiting"
     DISPATCHED = "dispatched"
-    RUNNING = "running"
     DONE = "done"
     DISMISSED = "dismissed"
 
@@ -38,8 +37,7 @@ class TaskState(enum.Enum):
 # Legal forward transitions; dismissal is allowed only before dispatch.
 _TRANSITIONS = {
     TaskState.WAITING: {TaskState.DISPATCHED, TaskState.DISMISSED},
-    TaskState.DISPATCHED: {TaskState.RUNNING},
-    TaskState.RUNNING: {TaskState.DONE},
+    TaskState.DISPATCHED: {TaskState.DONE},
     TaskState.DONE: set(),
     TaskState.DISMISSED: set(),
 }
@@ -88,7 +86,12 @@ class Token:
 
 
 class Dag:
-    """Builder plus frozen template for one processing chain."""
+    """Builder plus frozen template for one processing chain.
+
+    Thread inputs enter on edges from ``EXTERNAL``. Every edge ends on a task,
+    so ``freeze`` refuses an edge into ``EXTERNAL``: a thread's outputs leave
+    only as its tasks' ``thread_output``.
+    """
 
     def __init__(self):
         self.tasks: dict[str, TaskSpec] = {}
@@ -140,9 +143,12 @@ class Dag:
         for edge in self.edges:
             if edge.src == edge.dst:
                 problems.append(f"self-loop on {edge.src}")
-            elif edge.dst != EXTERNAL:
+            elif edge.dst == EXTERNAL:
+                problems.append(f"edge from {edge.src} into EXTERNAL")
+                continue
+            else:
                 has_input[edge.dst] = True
-            if edge.src in self.tasks and edge.dst in self.tasks:
+            if edge.src in self.tasks:
                 indeg[edge.dst] += 1
                 succ[edge.src].append(edge.dst)
         problems += [f"task {tid} has no input edge"
@@ -191,8 +197,7 @@ class Dag:
         self._in_edges = {tid: [] for tid in self.tasks}
         self._out_edges = {tid: [] for tid in self.tasks}
         for idx, edge in enumerate(self.edges):
-            if edge.dst in self.tasks:
-                self._in_edges[edge.dst].append(idx)
+            self._in_edges[edge.dst].append(idx)
             if edge.src in self.tasks:
                 self._out_edges[edge.src].append(idx)
         self._rule_by_producer = {rule.producer: rule for rule in self.rules}
@@ -252,8 +257,8 @@ class DagInstance:
     """Runtime state of one thread's dag: task states and edge slots.
 
     ``fifos[edge]`` is the edge's one token slot, None while empty; pushing
-    onto a full slot raises. ``outputs[task]`` is the task's thread-output
-    token.
+    onto a full slot raises. Every edge ends on a task, so a thread's outputs
+    leave only through ``outputs[task]``, the task's thread-output token.
 
     Readiness is kept incrementally, so a scan need not test every task:
 
@@ -299,11 +304,10 @@ class DagInstance:
 
     def _input_satisfied(self, task_id: str) -> None:
         """One more live input of ``task_id`` has a token (or stopped being live)."""
-        if task_id in self.missing:
-            self.missing[task_id] -= 1
-            if self.missing[task_id] == 0 and self.states[task_id] is TaskState.WAITING:
-                self._ready[self.dag.tasks[task_id].attribute].add(
-                    self.dag._topo_index[task_id])
+        self.missing[task_id] -= 1
+        if self.missing[task_id] == 0 and self.states[task_id] is TaskState.WAITING:
+            self._ready[self.dag.tasks[task_id].attribute].add(
+                self.dag._topo_index[task_id])
 
     def live_in_edges(self, task_id: str) -> list[int]:
         """Input edges whose producer was not dismissed (arity adjustment)."""
@@ -378,8 +382,7 @@ class DagInstance:
             raise RuntimeError("dismissal producer has not completed")
         dismissed = []
         for member in rule.group[observed_count:]:
-            if self.states[member] in (TaskState.DISPATCHED, TaskState.RUNNING,
-                                       TaskState.DONE):
+            if self.states[member] in (TaskState.DISPATCHED, TaskState.DONE):
                 raise RuntimeError(f"group member {member} already dispatched")
             if self.states[member] is not TaskState.DISMISSED:
                 self.set_state(member, TaskState.DISMISSED)

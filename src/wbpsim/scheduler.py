@@ -40,10 +40,7 @@ A placement needs a free thread slot on its cluster: the residency hit and
 the admission query ask ``slot_free``, and the LRU path evicts only on a
 cluster with a free slot. So while no cluster has a free slot, a pending
 thread waits without a try: one backpressure event and one "wait" decision
-with cluster -1, as the full try records. ``evaluate`` asks once per pass
-and then records every pending thread's wait in order; ``_try_place`` asks
-again, as a placement earlier in the pass may take the last slot. A failed
-try frees no slot, so this cannot change a later try.
+with cluster -1, as the full try records.
 
 A scratchpad section changes only through ``alloc`` and ``free_region``,
 on real reservations. Every fit query is pure: a placement, a dispatch and a
@@ -377,13 +374,12 @@ class ClusterScheduler:
         for edge_idx, token in zip(dag.out_edges(task_id), task_run.result.edge_outputs):
             dst = dag.edges[edge_idx].dst
             if token is None:
-                if dst in instance.states and \
-                        instance.states[dst] is not TaskState.DISMISSED:
+                if instance.states[dst] is not TaskState.DISMISSED:
                     raise RuntimeError(
                         f"{task_id} produced no token for live successor {dst}")
                 continue
             token = Token(token.payload, token.byte_size, next(region_iter))
-            if dst in instance.states and instance.states[dst] is TaskState.DISMISSED:
+            if instance.states[dst] is TaskState.DISMISSED:
                 # Successor pruned after this body was computed; drop the token.
                 self.cluster.sections["COMPUTE_DATA"].free_region(token.region)
                 continue
@@ -446,11 +442,10 @@ class MainScheduler:
     def thread_manager_query(self, cluster_id: int, thread: ThreadDescriptor) -> bool:
         """Slot plus scratchpad headroom for the full dag+data bundle."""
         sched = self.system.cluster_scheds[cluster_id]
-        return self.system.cluster_covers(cluster_id, thread.dag) and \
-            sched.slot_free() and \
+        return sched.slot_free() and \
             self._bundle_fits(sched.cluster, thread, ship_dag=True)
 
-    def get_cluster_lru(self, thread: ThreadDescriptor) -> int | None:
+    def get_cluster_lru(self) -> int | None:
         """Cluster of the least-recently-used evictable entry, or None.
 
         Evictable means no live thread uses the entry and the owning cluster
@@ -460,7 +455,6 @@ class MainScheduler:
         candidates = [
             entry for entry in self.table.entries.values()
             if scheds[entry.cluster_id].slot_free()
-            and self.system.cluster_covers(entry.cluster_id, thread.dag)
             and not scheds[entry.cluster_id].runs_dag(entry.dag_id)
         ]
         if not candidates:
@@ -483,20 +477,8 @@ class MainScheduler:
 
     # -- the thread-level scheduling pass ---------------------------------------
 
-    def _no_free_slot(self) -> bool:
-        return not any(sched.slot_free() for sched in self.system.cluster_scheds)
-
-    def _wait_for_slot(self, threads: list[ThreadDescriptor], now: int) -> None:
-        """What a try concludes with no free slot anywhere: every path needs
-        one, so each thread waits (cluster -1) with a backpressure event."""
-        self.system.metrics.backpressure_events += len(threads)
-        self.decisions += [Decision(now, thread.tid, "wait") for thread in threads]
-
     def evaluate(self, now: int) -> None:
         """One pass over pending threads; unplaced ones stay pending."""
-        if self._no_free_slot():
-            self._wait_for_slot(self.pending, now)
-            return
         eval_cycles = self.system.machine.config.thread_eval_cycles
         self.pending = [
             thread for evals, thread in enumerate(self.pending, start=1)
@@ -536,9 +518,11 @@ class MainScheduler:
 
     def _try_place(self, thread: ThreadDescriptor, now: int,
                    decision_time: int) -> bool:
-        # An earlier thread of this pass may have taken the last free slot.
-        if self._no_free_slot():
-            self._wait_for_slot([thread], now)
+        # Every path needs a free slot, so with none anywhere the thread
+        # waits (cluster -1) without a try.
+        if not any(sched.slot_free() for sched in self.system.cluster_scheds):
+            self.system.metrics.backpressure_events += 1
+            self.decisions.append(Decision(now, thread.tid, "wait"))
             return False
         # (a) residency hit: ship data only. Here and below, _place reserves
         # what _bundle_fits found room for, so it cannot fail.
@@ -562,7 +546,7 @@ class MainScheduler:
                 return True
         # (c) evict the least-recently-used idle dag and place there. Eviction
         # frees only code room, so it is tried only if the rest fits.
-        cid = self.get_cluster_lru(thread)
+        cid = self.get_cluster_lru()
         evicted: tuple[str, ...] = ()
         if cid is not None and self._bundle_fits(
                 self.system.cluster_scheds[cid].cluster, thread, ship_dag=False):
@@ -635,31 +619,16 @@ class System:
         self.threads: dict[int, ThreadDescriptor] = {}
         self.finished_runs: dict[int, ThreadRun] = {}
         self.last_completion = 0
-        self._dag_classes: dict[str, set[str]] = {}
-        # Tile classes per cluster; the tiles are fixed for the whole run.
-        self._cluster_classes = [{t.tile_class for t in c.tiles}
-                                 for c in machine.clusters]
 
     # -- workload interface ----------------------------------------------------
-
-    def _needed_classes(self, dag) -> set[str]:
-        if dag.dag_id not in self._dag_classes:
-            self._dag_classes[dag.dag_id] = {
-                spec.attribute[0] for spec in dag.tasks.values()
-                if spec.attribute != "ANY"}
-        return self._dag_classes[dag.dag_id]
-
-    def cluster_covers(self, cluster_id: int, dag) -> bool:
-        """The cluster has a tile of every class the dag's tasks require."""
-        return self._needed_classes(dag) <= self._cluster_classes[cluster_id]
 
     def submit(self, thread: ThreadDescriptor) -> None:
         if thread.tid in self.threads:
             raise ValueError(f"duplicate thread id {thread.tid}")
-        if not any(self.cluster_covers(c.cluster_id, thread.dag)
-                   for c in self.machine.clusters):
-            missing = sorted(self._needed_classes(thread.dag)
-                             - set().union(*self._cluster_classes))
+        # Every cluster is built from the one tile_mix, so one check covers all.
+        missing = sorted({spec.attribute[0] for spec in thread.dag.tasks.values()
+                          if spec.attribute != "ANY"} - set(self.machine.config.tile_mix))
+        if missing:
             raise UncoveredDag(f"no cluster has tile class {missing}, which "
                                f"the dag of thread {thread.tid} requires")
         self.threads[thread.tid] = thread
@@ -714,7 +683,6 @@ class System:
                     sched.scan(now)
             elif subject.tile.run_state is RunState.LOADING:  # the deploy
                 self.machine.finish_deploy(subject.tile)
-                subject.run.instance.set_state(subject.task_id, TaskState.RUNNING)
             else:  # the retrieval
                 self.cluster_scheds[subject.run.cluster_id].complete_task(
                     subject, now)

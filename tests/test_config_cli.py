@@ -14,6 +14,7 @@ from wbpsim.cli import (ABLATION_CSV_HEADER, RUN_CSV_HEADER, emit_csv, execute,
                         main, sweep_mix)
 from wbpsim.config import (ConfigError, apply_overrides, parse_config,
                            render_config, with_system)
+from wbpsim.machine import Machine, PortDirection
 
 MINIMAL = """
 [system]
@@ -256,9 +257,21 @@ def test_cmd_run_trace_flag_does_not_change_digest(tmp_path):
     assert (tmp_path / "ev.jsonl").read_text().count("\n") > 10
 
 
+def break_first_deploy(monkeypatch):
+    """Leave the port at core on the first deploy only: one port violation."""
+    original = Machine.finish_deploy
+
+    def broken(self, tile):
+        tile.port = PortDirection.CORE
+        monkeypatch.setattr(Machine, "finish_deploy", original)
+        return original(self, tile)
+
+    monkeypatch.setattr(Machine, "finish_deploy", broken)
+
+
 def test_cmd_run_fault_injection_nonzero_exit(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
-    monkeypatch.setenv("WBPSIM_INJECT_FAULT", "port")
+    break_first_deploy(monkeypatch)
     assert main(["run", cfg]) == 2
 
 
@@ -266,7 +279,7 @@ def test_cmd_run_lenient_reports_violations(tmp_path, monkeypatch, capsys):
     # A lenient run finishes and writes its row, then names each violation.
     cfg = write_config(tmp_path)
     out_csv = tmp_path / "row.csv"
-    monkeypatch.setenv("WBPSIM_INJECT_FAULT", "port")
+    break_first_deploy(monkeypatch)
     assert main(["run", cfg, "--lenient", "--out", str(out_csv)]) == 2
     assert capsys.readouterr().err == \
         "protocol violation: tile 1: DMA finished with port at core\n"

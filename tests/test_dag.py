@@ -77,6 +77,10 @@ def test_validate_reports_violations():
     only_loop.add_edge("a", "a")
     assert only_loop.validate() == ["self-loop on a", "task a has no input edge",
                                     "graph contains a cycle"]
+    # A thread output leaves through thread_output, never on an edge.
+    sink = chain(1)
+    sink.add_edge("t0", "EXTERNAL")
+    assert sink.validate() == ["edge from t0 into EXTERNAL"]
 
 
 def test_validate_checks_dismissal_reachability():
@@ -201,7 +205,6 @@ def fan_out_dag(group_size=20):
 def run_producer(inst):
     inst.push_token(0, tok())
     inst.set_state("blind", TaskState.DISPATCHED)
-    inst.set_state("blind", TaskState.RUNNING)
     inst.set_state("blind", TaskState.DONE)
 
 
@@ -229,7 +232,6 @@ def test_dismissal_adjusts_join_arity():
     assert dag.edges[edge].src == "dec00"
     inst.push_token(edge, tok())
     inst.set_state("dec00", TaskState.DISPATCHED)
-    inst.set_state("dec00", TaskState.RUNNING)
     inst.set_state("dec00", TaskState.DONE)
     assert "sink" in inst.ready_tasks()
     assert len(inst.pop_inputs("sink", inst.live_in_edges("sink"))) == 1
@@ -255,7 +257,6 @@ def test_is_complete_accounts_dismissed():
     inst.apply_dismissal(dag.dismissal_rule("blind"), 0)
     for tid in ("sink",):
         inst.set_state(tid, TaskState.DISPATCHED)
-        inst.set_state(tid, TaskState.RUNNING)
         inst.set_state(tid, TaskState.DONE)
     assert inst.is_complete()
 
@@ -295,7 +296,6 @@ def diamond_with_dismissal():
     dag.add_edge("EXTERNAL", "src")
     for src, dst in (("src", "a"), ("src", "b"), ("a", "join"), ("b", "join")):
         dag.add_edge(src, dst)
-    dag.add_edge("join", "EXTERNAL")
     dag.add_dismissal("src", ("a", "b"))
     return dag.freeze()
 
@@ -311,8 +311,7 @@ def small_rx_dag():
 READINESS_DAGS = {"diamond": diamond_with_dismissal(), "rx": small_rx_dag()}
 # Forward path of a task that is not dismissed.
 NEXT_STATE = {TaskState.WAITING: TaskState.DISPATCHED,
-              TaskState.DISPATCHED: TaskState.RUNNING,
-              TaskState.RUNNING: TaskState.DONE}
+              TaskState.DISPATCHED: TaskState.DONE}
 
 
 def assert_readiness_matches_oracle(inst):

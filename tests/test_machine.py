@@ -246,6 +246,14 @@ def test_dma_idle_gap_restarts_at_request_time():
 # -- machine protocol ------------------------------------------------------------
 
 
+def test_every_cluster_has_the_config_tile_mix():
+    # System.submit checks tile-class coverage against tile_mix once, which
+    # holds for every cluster only because each is built from it.
+    machine = Machine(MachineConfig(clusters=3, tile_mix=("S", "L", "L")))
+    assert [tuple(t.tile_class for t in c.tiles) for c in machine.clusters] == \
+        [("S", "L", "L")] * 3
+
+
 def small_machine(strict=True, **kw):
     cfg = MachineConfig(clusters=1, tile_mix=("L", "S"), strict=strict, **kw)
     return Machine(cfg)

@@ -197,12 +197,11 @@ def test_get_cluster_lru_picks_oldest_with_tiebreak():
                                         code_region=pool1.alloc(100)))
     system.main.table.record(TableEntry(dag_b.dag_id, 0, last_used=5,
                                         code_region=pool0.alloc(100)))
-    probe = thread(9, one_task_dag())
-    assert system.main.get_cluster_lru(probe) == 0
+    assert system.main.get_cluster_lru() == 0
     system.main.table.entries[(dag_b.dag_id, 0)].last_used = 9  # now a tie at 9
-    assert system.main.get_cluster_lru(probe) == 0
+    assert system.main.get_cluster_lru() == 0
     in_flight(system, 0, 100, dag_b)  # busy entries are skipped
-    assert system.main.get_cluster_lru(probe) == 1
+    assert system.main.get_cluster_lru() == 1
 
 
 def test_evaluate_empty_pending_records_nothing():

@@ -422,7 +422,7 @@ def test_executed_decoders_match_detected_users(monkeypatch):
                            build_rx_dag(link)):
         system.submit(t)
     system.run()
-    executed = [TaskState.DISPATCHED, TaskState.RUNNING, TaskState.DONE]
+    executed = [TaskState.DISPATCHED, TaskState.DONE]
     assert len(system.finished_runs) == 2
     for run in system.finished_runs.values():
         states = run.instance.states
