@@ -24,11 +24,12 @@ def env_reads(tree: ast.AST) -> list[tuple[int, str]]:
         key = None
         if isinstance(parent, ast.Subscript):  # os.environ[...]
             key = parent.slice
-        elif isinstance(parent, ast.Call) and parent.args:  # os.getenv(...)
+        elif isinstance(parent, ast.Call) and parent.func is node \
+                and parent.args:  # os.getenv(...)
             key = parent.args[0]
         elif isinstance(parent, ast.Attribute) and parent.attr == "get":
             call = parents[parent]  # os.environ.get(...)
-            if isinstance(call, ast.Call) and call.args:
+            if isinstance(call, ast.Call) and call.func is parent and call.args:
                 key = call.args[0]
         name = key.value if isinstance(key, ast.Constant) else "?"
         reads.append((node.lineno, name))
@@ -37,7 +38,7 @@ def env_reads(tree: ast.AST) -> list[tuple[int, str]]:
 
 def test_env_reads_finds_every_form():
     tree = ast.parse('import os\nos.environ["A"]\nos.environ.get("B", "1")\n'
-                     'os.getenv("C")\nos.environ.get(name)\nos.environ\n')
+                     'os.getenv("C")\nos.environ.get(name)\nf("D", os.environ)\n')
     assert env_reads(tree) == [(2, "A"), (3, "B"), (4, "C"), (5, "?"), (6, "?")]
 
 
