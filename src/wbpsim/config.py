@@ -40,7 +40,7 @@ def _parse_snr(text: str) -> float | None:
 
 # Each default is read from the dataclass that declares it. No dataclass
 # declares the polar code, the rate-match length, the anchors file or the
-# [run] keys other than strict, so those are written here.
+# [run] keys, so those are written here.
 _MACHINE, _COST, _OFDM, _TDD = MachineConfig(), CostParams(), OfdmConfig(), TddPattern()
 _LINK = {f.name: f.default for f in dataclasses.fields(LinkConfig)}
 # Config key of each scratchpad section's size.
@@ -81,7 +81,6 @@ _SCHEMA: dict[tuple[str, str], tuple] = {
     ("run", "seed"): (int, 1),
     ("run", "multithreading"): (_parse_bool, True),
     ("run", "lazy_deletion"): (_parse_bool, True),
-    ("run", "strict"): (_parse_bool, _MACHINE.strict),
 }
 
 _SECTIONS = ("system", "link", "tdd", "cost", "run")
@@ -166,7 +165,6 @@ def _build_setup(values: dict[tuple[str, str], object]) -> RunSetup:
             clock_hz=get("system", "clock_mhz") * 1e6,
             thread_eval_cycles=get("cost", "thread_eval_cycles"),
             scan_visit_cycles=get("cost", "scan_visit_cycles"),
-            strict=get("run", "strict"),
         )
         cost_params = CostParams(serial_fraction=get("cost", "serial_fraction"),
                                  ref_lanes=get("cost", "ref_lanes"))
@@ -240,8 +238,7 @@ def render_config(setup: RunSetup) -> str:
 
 def apply_overrides(setup: RunSetup, *, seed: int | None = None,
                     multithreading: bool | None = None,
-                    lazy_deletion: bool | None = None,
-                    strict: bool | None = None) -> RunSetup:
+                    lazy_deletion: bool | None = None) -> RunSetup:
     values = dict(setup.values)
     if seed is not None:
         values[("run", "seed")] = seed
@@ -249,8 +246,6 @@ def apply_overrides(setup: RunSetup, *, seed: int | None = None,
         values[("run", "multithreading")] = multithreading
     if lazy_deletion is not None:
         values[("run", "lazy_deletion")] = lazy_deletion
-    if strict is not None:
-        values[("run", "strict")] = strict
     return _build_setup(values)
 
 

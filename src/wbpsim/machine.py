@@ -33,7 +33,7 @@ from .costmodel import DmaTiming, TileTiming, dma_cycles
 
 
 class ProtocolViolation(RuntimeError):
-    """A pack-and-ship invariant was broken (fatal in strict mode)."""
+    """A pack-and-ship invariant was broken; the run stops."""
 
 
 class SimulationStalled(RuntimeError):
@@ -333,7 +333,6 @@ class MachineConfig:
     clock_hz: float = 500e6
     thread_eval_cycles: int = 50
     scan_visit_cycles: int = 10
-    strict: bool = True
 
     def __post_init__(self):
         # Each message starts "<field>: " (a section's name for its size),
@@ -358,7 +357,6 @@ class Machine:
         self.config = config
         self.engine = EventEngine(trace_path, salt=digest_salt)
         self.clusters: list[ClusterState] = []
-        self.violation_messages: list[str] = []
         next_tile = 0
         for cid in range(config.clusters):
             tiles = []
@@ -378,38 +376,29 @@ class Machine:
         # tile id -> (deploy event, compute cycles) from deploy to release
         self._jobs: dict[int, tuple[Event, int]] = {}
 
-    @property
-    def violations(self) -> int:
-        return len(self.violation_messages)
-
     # -- protocol primitives ------------------------------------------------
-
-    def _violate(self, message: str) -> None:
-        self.violation_messages.append(message)
-        if self.config.strict:
-            raise ProtocolViolation(message)
 
     def _advance(self, tile: TileState, state: RunState, at: int) -> None:
         """Move the tile to ``state``, which takes effect at ``at``."""
         if _NEXT_STATE[tile.run_state] is not state:
-            self._violate(f"tile {tile.tile_id}: {tile.run_state.value} -> {state.value}")
+            raise ProtocolViolation(
+                f"tile {tile.tile_id}: {tile.run_state.value} -> {state.value}")
         if tile.run_state is RunState.RUNNING:
             tile.busy_cycles += at - tile.since
         tile.run_state = state
         tile.since = at
 
     def _post_job(self, tile: TileState, kind: EventKind, time: int,
-                  nbytes: int = 0) -> Event | None:
-        """Post a copy of the tile's job, if any (lenient runs may lack one)."""
-        if tile.tile_id in self._jobs:
-            job = self._jobs[tile.tile_id][0]
-            return self.engine.post(Event(time, kind, job.cluster, job.tile, job.thread,
-                                          job.task, nbytes, job.ctx))
+                  nbytes: int = 0) -> Event:
+        """Post a copy of the tile's job; every tile out of IDLE has one."""
+        job = self._jobs[tile.tile_id][0]
+        return self.engine.post(Event(time, kind, job.cluster, job.tile, job.thread,
+                                      job.task, nbytes, job.ctx))
 
     def set_port_direction(self, tile: TileState, direction: PortDirection) -> int:
         """Atomic CSR write flipping scratchpad ownership; returns its cost."""
         if tile.run_state is RunState.RUNNING:
-            self._violate(f"tile {tile.tile_id}: port flip while running")
+            raise ProtocolViolation(f"tile {tile.tile_id}: port flip while running")
         tile.port = direction
         return self.config.dma.csr_write_cycles
 
@@ -438,9 +427,9 @@ class Machine:
         start = self.engine.now + 2 * self.config.dma.csr_write_cycles
         self._advance(tile, RunState.RUNNING, start)
         if tile.port is not PortDirection.BUS:
-            self._violate(f"tile {tile.tile_id}: DMA finished with port at core")
+            raise ProtocolViolation(f"tile {tile.tile_id}: DMA finished with port at core")
         tile.port = PortDirection.CORE
-        _, cycles = self._jobs.get(tile.tile_id, (None, 0))
+        _, cycles = self._jobs[tile.tile_id]
         self._post_job(tile, EventKind.TILE_DONE, start + cycles)
         return start
 
@@ -448,24 +437,24 @@ class Machine:
         """Port->BUS and interrupt; returns the interrupt time."""
         self._advance(tile, RunState.RETURNING, self.engine.now)
         if tile.port is not PortDirection.CORE:
-            self._violate(f"tile {tile.tile_id}: ran with port at bus")
+            raise ProtocolViolation(f"tile {tile.tile_id}: ran with port at bus")
         tile.port = PortDirection.BUS
         interrupt_time = self.engine.now + self.config.dma.csr_write_cycles
         self._post_job(tile, EventKind.INTERRUPT, interrupt_time)
         return interrupt_time
 
     def begin_retrieval(self, cluster: ClusterState, tile: TileState,
-                        nbytes: int, now: int) -> Event | None:
+                        nbytes: int, now: int) -> Event:
         if tile.run_state is not RunState.RETURNING:
-            self._violate(f"tile {tile.tile_id}: retrieval while {tile.run_state}")
+            raise ProtocolViolation(f"tile {tile.tile_id}: retrieval while {tile.run_state}")
         if tile.port is not PortDirection.BUS:
-            self._violate(f"tile {tile.tile_id}: retrieval with port at core")
+            raise ProtocolViolation(f"tile {tile.tile_id}: retrieval with port at core")
         _, done = cluster.dma.reserve(now, nbytes)
         return self._post_job(tile, EventKind.DMA_DONE, done, nbytes)
 
     def release_tile(self, tile: TileState, now: int) -> None:
         self._advance(tile, RunState.IDLE, now)
-        self._jobs.pop(tile.tile_id, None)
+        del self._jobs[tile.tile_id]
 
     def main_transfer(self, now: int, nbytes: int, cluster_id: int,
                       thread: int, ctx: Any) -> Event:
@@ -498,6 +487,7 @@ class Machine:
                     continue
                 if state is running:
                     if tile.port is not core:
-                        raise RuntimeError(f"tile {tile.tile_id} running with port at bus")
+                        raise ProtocolViolation(f"tile {tile.tile_id} running with port at bus")
                 elif tile.port is not bus:  # loading or returning
-                    raise RuntimeError(f"tile {tile.tile_id} transferring with port at core")
+                    raise ProtocolViolation(
+                        f"tile {tile.tile_id} transferring with port at core")

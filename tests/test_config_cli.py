@@ -157,7 +157,6 @@ lazy_deletion = true
 multithreading = true
 n_slots = 20
 seed = 1
-strict = true
 """
 
 
@@ -269,22 +268,31 @@ def break_first_deploy(monkeypatch):
     monkeypatch.setattr(Machine, "finish_deploy", broken)
 
 
-def test_cmd_run_fault_injection_nonzero_exit(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    break_first_deploy(monkeypatch)
-    assert main(["run", cfg]) == 2
-
-
-def test_cmd_run_lenient_reports_violations(tmp_path, monkeypatch, capsys):
-    # A lenient run finishes and writes its row, then names each violation.
+def test_cmd_run_fault_injection_nonzero_exit(tmp_path, monkeypatch, capsys):
+    # The first broken step stops the run: no row is written.
     cfg = write_config(tmp_path)
     out_csv = tmp_path / "row.csv"
     break_first_deploy(monkeypatch)
-    assert main(["run", cfg, "--lenient", "--out", str(out_csv)]) == 2
+    assert main(["run", cfg, "--out", str(out_csv)]) == 2
     assert capsys.readouterr().err == \
         "protocol violation: tile 1: DMA finished with port at core\n"
-    with open(out_csv, newline="") as fh:
-        assert len(list(csv.reader(fh))) == 2
+    assert not out_csv.exists()
+
+
+def test_cmd_run_port_left_at_bus_is_a_protocol_violation(monkeypatch, capsys):
+    # The per-event check, not a protocol step, catches this port: a legal
+    # deploy that leaves it at the bus.
+    original = Machine.finish_deploy
+
+    def leave_port_at_bus(self, tile):
+        start = original(self, tile)
+        tile.port = PortDirection.BUS
+        return start
+
+    monkeypatch.setattr(Machine, "finish_deploy", leave_port_at_bus)
+    assert main(["run", "configs/example.cfg"]) == 2
+    assert capsys.readouterr().err == \
+        "protocol violation: tile 2 running with port at bus\n"
 
 
 def test_cmd_run_stall_exits_3_and_names_stuck_threads(tmp_path, capsys):

@@ -47,10 +47,10 @@ def with_slots(setup, n_slots):
 
 @pytest.mark.parametrize("name,row", [
     ("example.cfg",
-     "d42e23a62865,1,4,2,2,8,1,1,1,7.157002,0.414801,1205120,2,0,6,68,"
+     "3dba6ef953fd,1,4,2,2,8,1,1,1,7.157002,0.414801,1205120,2,0,6,68,"
      "dec1db3e066dbbc5567305372081ef40a890f2ed1595f6df500debaccaf7f6b8"),
     ("3c4t.cfg",
-     "4445c243fea6,3,4,2,2,24,1,1,1,20.501048,0.396099,2651904,6,0,18,216,"
+     "4ce3ac0e4b39,3,4,2,2,24,1,1,1,20.501048,0.396099,2651904,6,0,18,216,"
      "420891ff63b73d39e7b09b71988fb41f319ec6a51af097a1887087882bea1834"),
 ])
 def test_reference_config_golden_row(name, row):
@@ -77,7 +77,7 @@ def test_sweep_4x3_deep_backlog_golden_row():
                         4, sweep_mix(3))
     report = execute(setup)
     assert csv_row(setup, report) == (
-        "0151ae99a75c,4,3,2,1,20,1,1,1,20.776034,0.401118,8768672,6,0,14,100,"
+        "33386d717c54,4,3,2,1,20,1,1,1,20.776034,0.401118,8768672,6,0,14,100,"
         "45ad344d94b231fcdf223c1f96d2b87f2248302ecbdd3de94fa34277d6548fcc")
     assert decision_log_sha256(report) == (
         "8677c08a26625a8472461d65a51b239994e08ed1cea4590b6673c4e9c6f668a0")

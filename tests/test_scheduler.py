@@ -12,9 +12,9 @@ from wbpsim.costmodel import CostModel, CostParams
 from wbpsim.dag import Dag, TaskSpec, TaskState, Token
 from wbpsim.machine import (Event, EventKind, Machine, MachineConfig, RunState,
                             SimulationStalled, SpmSection)
-from wbpsim.scheduler import (ClusterScheduler, Decision, DeploymentTable,
-                              MainScheduler, Metrics, System, TableEntry,
-                              ThreadDescriptor, ThreadRun)
+from wbpsim.scheduler import (BodyResult, ClusterScheduler, Decision,
+                              DeploymentTable, MainScheduler, Metrics, System,
+                              TableEntry, ThreadDescriptor, ThreadRun)
 
 # One law so synthetic task cost is predictable; ref lanes match the L tile
 # so no lane scaling applies.
@@ -396,6 +396,76 @@ def test_forced_eviction_alternating_dags():
     assert system.metrics.dag_transfers == len(order)
     assert system.metrics.evictions == len(order) - 1
     assert system.metrics.residency_hits == 0
+
+
+def test_eviction_that_frees_too_little_waits_for_the_running_dag():
+    # Pool 5000 holds B (1024, idle) and A (2048, running), so C (4096)
+    # finds no hole even once B is evicted: it waits, with B evicted, and
+    # is placed by evicting A once A's thread finishes.
+    system = build_system(config=small_config(clusters=1, tile_mix=("L",)))
+    dag_b = one_task_dag(code_bytes=1024 - 32, tag="b")
+    dag_a = one_task_dag(code_bytes=2048 - 32, tag="a")
+    dag_c = one_task_dag(code_bytes=4096 - 32, tag="c")
+    assert [d.packed_bytes for d in (dag_b, dag_a, dag_c)] == [1024, 2048, 4096]
+    system.submit(thread(0, dag_b))
+    system.submit(thread(1, dag_a, arrival=10_000))
+    system.submit(thread(2, dag_c, arrival=10_100))
+    system.run()
+    assert system.finished_runs.keys() == {0, 1, 2}
+    decisions = [(d.thread, d.action, d.cluster, d.evicted)
+                 for d in system.main.decisions]
+    assert decisions == [(0, "admit", 0, ()), (1, "admit", 0, ()),
+                         (2, "wait", 0, (dag_b.dag_id,)),
+                         (2, "evict", 0, (dag_a.dag_id,))]
+    assert system.metrics.evictions == 2
+
+
+def late_dismissal_dag():
+    # a feeds p and q, which join in x; p dismisses x when it completes.
+    dag = Dag()
+    for task_id in ("a", "p", "q", "x"):
+        dag.add_task(TaskSpec(task_id=task_id, kernel="assemble", attribute="ANY",
+                              code_bytes=512))
+    dag.add_edge("EXTERNAL", "a")
+    for src, dst in (("a", "p"), ("a", "q"), ("p", "x"), ("q", "x")):
+        dag.add_edge(src, dst)
+    dag.add_dismissal("p", ("x",))
+    return dag.freeze()
+
+
+@pytest.mark.parametrize("first", ["p", "q"])
+def test_late_dismissal_frees_the_other_producers_token(first, monkeypatch):
+    # p and q run side by side; the one with the smaller count finishes
+    # first. If q does, its token waits on q->x until finish_thread frees
+    # it; if p does, complete_task drops q's token as q completes.
+    fast, slow = ("assemble", 64, 1), ("assemble", 64, 3)
+    p_cost, others_cost = (fast, slow) if first == "p" else (slow, fast)
+    passthrough = make_passthrough_body(cost_items=(others_cost,))
+
+    def body(spec, payloads, thread):
+        if spec.task_id == "p":  # it dismisses x, so it sends x no token
+            return BodyResult([None], [p_cost], scalar_return=0)
+        return passthrough(spec, payloads, thread)
+
+    left_on = []
+    finish_thread = ClusterScheduler.finish_thread
+
+    def recording(self, run, now):
+        dag = run.thread.dag
+        left_on.extend(dag.edges[idx].src for idx, token in enumerate(run.instance.fifos)
+                       if token is not None)
+        return finish_thread(self, run, now)
+
+    monkeypatch.setattr(ClusterScheduler, "finish_thread", recording)
+    config = small_config(clusters=1, tile_mix=("L", "L"))
+    system = System(Machine(config), FLAT_COST, body)
+    system.submit(thread(0, late_dismissal_dag()))
+    system.run()
+    assert list(system.finished_runs) == [0]
+    assert system.finished_runs[0].instance.states["x"] is TaskState.DISMISSED
+    assert system.metrics.dismissed_tasks == 1
+    assert left_on == ([] if first == "p" else ["q"])
+    assert system.machine.clusters[0].sections["COMPUTE_DATA"].used == 0
 
 
 def test_multithreading_bound_and_liveness():
