@@ -10,7 +10,7 @@ setup + ceil(bytes / bandwidth) burst cycles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 # Kernel kinds the model prices. FFT and BP carry measured anchors; the rest
@@ -56,7 +56,6 @@ class InsufficientAnchorsError(ValueError):
 @dataclass(frozen=True)
 class TileTiming:
     lanes: int = 16
-    vrf_count: int = 32
 
     def __post_init__(self):
         if self.lanes < 1 or self.lanes & (self.lanes - 1):
@@ -88,9 +87,8 @@ class DmaTiming:
 
 @dataclass
 class CostParams:
-    """Per-kernel (a, b) scaling-law coefficients plus lane-scaling knobs."""
+    """Lane-scaling knobs."""
 
-    laws: dict[str, tuple[float, float]] = field(default_factory=dict)
     serial_fraction: float = 0.2
     ref_lanes: int = 64
 
@@ -159,8 +157,8 @@ class CostModel:
                 raise ValueError(f"duplicate anchor for {key}")
             self.anchors[key] = anchor
             per_kernel.setdefault(anchor.kernel, []).append(anchor)
-        laws = dict(params.laws)
-        estimated = set(DEFAULT_LAWS) - set(laws)
+        # Fitted laws replace the estimates of the kernels that have anchors.
+        self.laws: dict[str, tuple[float, float]] = dict(DEFAULT_LAWS)
         for kernel, kernel_anchors in per_kernel.items():
             if len(kernel_anchors) >= 2:
                 a, b = fit_scaling(kernel_anchors)[:2]
@@ -168,12 +166,8 @@ class CostModel:
                 # One measurement: slope through the point, no intercept.
                 only = kernel_anchors[0]
                 a, b = only.cycles / (only.size * math.log2(only.size)), 0.0
-            laws[kernel] = (a, b)
-            estimated.discard(kernel)
-        for kernel, law in DEFAULT_LAWS.items():
-            laws.setdefault(kernel, law)
-        self.laws = laws
-        self.estimated = frozenset(estimated)
+            self.laws[kernel] = (a, b)
+        self.estimated = frozenset(DEFAULT_LAWS.keys() - per_kernel.keys())
 
     def kernel_cycles(self, kernel: str, size: int, tile: TileTiming) -> int:
         if kernel not in KERNEL_KINDS:

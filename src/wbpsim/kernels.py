@@ -102,17 +102,17 @@ def fft(x, inverse: bool = False) -> np.ndarray:
 # polar code
 
 
-def bhattacharyya_frozen_mask(n: int, k: int, design_snr_db: float = 0.0) -> np.ndarray:
+def bhattacharyya_frozen_mask(n: int, k: int) -> np.ndarray:
     """Frozen mask (1 = frozen) for a length-2^n code with k info bits.
 
     Channel reliabilities follow the classic parameter recursion seeded with
-    z = exp(-10^(snr/10)); index order matches the natural (non-bit-reversed)
+    z = exp(-1), the 0 dB design point; index order matches the natural (non-bit-reversed)
     encoder below. Ties freeze the lower index first.
     """
     size = 1 << n
     if not 0 <= k <= size:
         raise ValueError(f"need 0 <= K <= {size}, got {k}")
-    z = np.array([math.exp(-(10.0 ** (design_snr_db / 10.0)))])
+    z = np.array([math.exp(-1.0)])
     for _ in range(n):
         nxt = np.empty(2 * z.size)
         nxt[0::2] = 2.0 * z - z * z
@@ -150,9 +150,9 @@ class PolarCode:
         return positions
 
     @classmethod
-    def design(cls, N: int, K: int, design_snr_db: float = 0.0) -> "PolarCode":
+    def design(cls, N: int, K: int) -> "PolarCode":
         n = _require_pow2(N, "block length")
-        return cls(n=n, K=K, frozen_mask=bhattacharyya_frozen_mask(n, K, design_snr_db))
+        return cls(n=n, K=K, frozen_mask=bhattacharyya_frozen_mask(n, K))
 
     @classmethod
     def from_frozen_set(cls, N: int, frozen: set[int]) -> "PolarCode":

@@ -27,7 +27,7 @@ import heapq
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 from .costmodel import DmaTiming, TileTiming, dma_cycles
 
@@ -188,9 +188,12 @@ class SpmSection:
             cursor = offset + size
         return cursor if self.capacity - cursor >= nbytes else None
 
-    def would_fit(self, *sizes: int) -> bool:
-        """Whether allocating ``sizes`` one after another would succeed."""
+    def would_fit(self, *sizes: int, freed: Collection[int] = ()) -> bool:
+        """Whether allocating ``sizes`` one after another would succeed
+        once the regions in ``freed`` are gone."""
         spans = self._spans
+        if freed:
+            spans = [s for s, r in zip(spans, self._span_regions) if r not in freed]
         last = len(sizes) - 1
         for i, nbytes in enumerate(sizes):
             offset = self._first_fit(spans, nbytes)
@@ -286,8 +289,8 @@ _NEXT_STATE = {RunState.IDLE: RunState.LOADING, RunState.LOADING: RunState.RUNNI
                RunState.RUNNING: RunState.RETURNING, RunState.RETURNING: RunState.IDLE}
 
 TILE_CLASS_TIMING = {
-    "L": TileTiming(lanes=16, vrf_count=32),
-    "S": TileTiming(lanes=8, vrf_count=64),
+    "L": TileTiming(lanes=16),
+    "S": TileTiming(lanes=8),
 }
 
 
@@ -446,7 +449,7 @@ class Machine:
     def begin_retrieval(self, cluster: ClusterState, tile: TileState,
                         nbytes: int, now: int) -> Event:
         if tile.run_state is not RunState.RETURNING:
-            raise ProtocolViolation(f"tile {tile.tile_id}: retrieval while {tile.run_state}")
+            raise ProtocolViolation(f"tile {tile.tile_id}: retrieval while {tile.run_state.value}")
         if tile.port is not PortDirection.BUS:
             raise ProtocolViolation(f"tile {tile.tile_id}: retrieval with port at core")
         _, done = cluster.dma.reserve(now, nbytes)

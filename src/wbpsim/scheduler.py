@@ -4,7 +4,7 @@ The main scheduler places whole software threads onto clusters: a thread
 whose dag is already resident on an admitting cluster ships only its data
 (lazy-deletion residency hit); otherwise clusters are asked in ascending id
 order whether they can admit the packed dag+data bundle, and as a last
-resort the least-recently-used idle dag is evicted to make room. Each
+resort idle dags are evicted, least recently used first, to make room. Each
 cluster's scheduler then scans its dag instances and dispatches ready tasks
 to attribute-matching idle tiles through the bundled deploy/retrieve
 protocol.
@@ -148,6 +148,8 @@ class Metrics:
     data_transfers: int = 0
     evictions: int = 0
     residency_hits: int = 0
+    # Placement waits plus LOAD_INDICATION refusals. perfbench reads the key
+    # by this name, so a rename waits for its revision (ROADMAP direction 7).
     backpressure_events: int = 0
     dispatched_tasks: int = 0
     dismissed_tasks: int = 0
@@ -193,7 +195,6 @@ class ThreadRun:
     cluster_id: int
     fifo_region: int
     inputs: list[Token]  # the thread's inputs, tagged with their data regions
-    anon_code_region: int | None = None
     instance: DagInstance | None = None
     completed_at: int | None = None
 
@@ -413,11 +414,10 @@ class ClusterScheduler:
 class MainScheduler:
     """Thread-level scheduler: residency lookup, admission inquiry, LRU."""
 
-    def __init__(self, system: "System", strict_algorithm: bool = False):
+    def __init__(self, system: "System"):
         self.system = weakref.proxy(system)  # see ClusterScheduler
         self.table = DeploymentTable()
         self.pending: list[ThreadDescriptor] = []
-        self.strict_algorithm = strict_algorithm
         self.decisions: list[Decision] = []
 
     # -- public queries -------------------------------------------------------
@@ -485,9 +485,10 @@ class MainScheduler:
             if not self._try_place(thread, now, now + evals * eval_cycles)]
 
     def _place(self, thread: ThreadDescriptor, cluster_id: int, now: int,
-               decision_time: int, ship_dag: bool, register: bool) -> None:
+               decision_time: int) -> None:
         """Reserve what ``_bundle_fits`` found room for, enter the run with
-        its inputs tagged with their data regions, and ship the bundle."""
+        its inputs tagged with their data regions, and ship the bundle; the
+        dag goes with it, and is registered, unless the cluster holds it."""
         sched = self.system.cluster_scheds[cluster_id]
         cluster = sched.cluster
         compute = cluster.sections["COMPUTE_DATA"]
@@ -497,16 +498,12 @@ class MainScheduler:
                         fifo_region=cluster.sections["FIFO_LISTS"].alloc(
                             _fifo_bytes(thread.dag)))
         transfer_bytes = sum(t.byte_size for t in inputs)
-        if ship_dag:
+        if (thread.dag.dag_id, cluster_id) not in self.table.entries:
             dag_bytes = thread.dag.packed_bytes
             code_region = cluster.sections["TASK_CODE_POOL"].alloc(dag_bytes)
             transfer_bytes += dag_bytes
             self.system.metrics.dag_transfers += 1
-            if register:
-                self.table.record(TableEntry(thread.dag.dag_id, cluster_id,
-                                             now, code_region))
-            else:
-                run.anon_code_region = code_region
+            self.table.record(TableEntry(thread.dag.dag_id, cluster_id, now, code_region))
         else:
             self.table.touch(thread.dag.dag_id, cluster_id, now)
             self.system.metrics.residency_hits += 1
@@ -528,71 +525,65 @@ class MainScheduler:
         # what _bundle_fits found room for, so it cannot fail.
         cid = self.code_deployed(thread)
         if cid is not None:
-            self._place(thread, cid, now, decision_time,
-                        ship_dag=False, register=False)
+            self._place(thread, cid, now, decision_time)
             self.decisions.append(Decision(now, thread.tid, "hit", cid))
             return True
         # (b) ask each cluster in ascending id order for admission. A holder
         # of the dag that passes the query was already taken in (a), so the
         # dag is shipped; the query checked every section _place reserves.
-        # The literal control flow jumps straight to packing here; by
-        # default we also register so later lookups can hit.
         for sched in self.system.cluster_scheds:
             cid = sched.cluster.cluster_id
             if self.thread_manager_query(cid, thread):
-                self._place(thread, cid, now, decision_time, ship_dag=True,
-                            register=not self.strict_algorithm)
+                self._place(thread, cid, now, decision_time)
                 self.decisions.append(Decision(now, thread.tid, "admit", cid))
                 return True
-        # (c) evict the least-recently-used idle dag and place there. Eviction
-        # frees only code room, so it is tried only if the rest fits.
+        # (c) evict least-recently-used idle dags and place there. Eviction
+        # frees only code room, so it is tried only if the rest fits. (b) found
+        # no code room, and (a) would have taken a holder of the dag, so a
+        # placement here evicts at least one dag and ships this one.
         cid = self.get_cluster_lru()
-        evicted: tuple[str, ...] = ()
         if cid is not None and self._bundle_fits(
                 self.system.cluster_scheds[cid].cluster, thread, ship_dag=False):
-            evicted = tuple(self._evict_until_fit(cid, thread))
-            if self._bundle_fits(self.system.cluster_scheds[cid].cluster, thread,
-                                 ship_dag=True):
-                self._place(thread, cid, now, decision_time, ship_dag=True, register=True)
+            evicted = self._evict_until_fit(cid, thread)
+            if evicted:
+                self._place(thread, cid, now, decision_time)
                 self.decisions.append(Decision(now, thread.tid, "evict", cid, evicted))
                 return True
         self.system.metrics.backpressure_events += 1
         self.decisions.append(Decision(now, thread.tid, "wait",
-                                       -1 if cid is None else cid, evicted))
+                                       -1 if cid is None else cid))
         return False
 
-    def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> list[str]:
-        """Free idle LRU entries on the cluster until the bundle would fit."""
+    def _evict_until_fit(self, cluster_id: int, thread: ThreadDescriptor) -> tuple[str, ...]:
+        """Evict the cluster's idle entries, least recently used first, until
+        the packed dag fits; evict none if it would not fit with all gone."""
         sched = self.system.cluster_scheds[cluster_id]
-        cluster = sched.cluster
-        evicted: list[str] = []
-        while not cluster.sections["TASK_CODE_POOL"].would_fit(thread.dag.packed_bytes):
-            idle = [e for e in self.table.entries.values()
-                    if e.cluster_id == cluster_id and not sched.runs_dag(e.dag_id)]
-            if not idle:
+        pool = sched.cluster.sections["TASK_CODE_POOL"]
+        size = thread.dag.packed_bytes
+        idle = sorted((e for e in self.table.entries.values()
+                       if e.cluster_id == cluster_id and not sched.runs_dag(e.dag_id)),
+                      key=lambda e: (e.last_used, e.dag_id))
+        if not pool.would_fit(size, freed={e.code_region for e in idle}):
+            return ()
+        evicted = []
+        for victim in idle:
+            if pool.would_fit(size):
                 break
-            victim = min(idle, key=lambda e: (e.last_used, e.dag_id))
-            cluster.sections["TASK_CODE_POOL"].free_region(victim.code_region)
+            pool.free_region(victim.code_region)
             self.table.drop(victim.dag_id, cluster_id)
             self.system.metrics.evictions += 1
             evicted.append(victim.dag_id)
-        return evicted
+        return tuple(evicted)
 
     def on_thread_done(self, run: ThreadRun, now: int) -> None:
         sched = self.system.cluster_scheds[run.cluster_id]
-        cluster = sched.cluster
-        if run.anon_code_region is not None:
-            # Unregistered placement (literal control flow): nothing retains
-            # the code once its thread ends.
-            cluster.sections["TASK_CODE_POOL"].free_region(run.anon_code_region)
-            return
-        # A registered entry outlives its threads: eviction and eager
-        # deletion only drop entries that no live thread uses.
+        # An entry outlives its threads: eviction and eager deletion only
+        # drop entries that no live thread uses.
         entry = self.table.entries[(run.thread.dag.dag_id, run.cluster_id)]
         if self.system.lazy_deletion:
             entry.last_used = now
         elif not sched.runs_dag(entry.dag_id):
-            cluster.sections["TASK_CODE_POOL"].free_region(entry.code_region)
+            sched.cluster.sections["TASK_CODE_POOL"].free_region(entry.code_region)
             self.table.drop(entry.dag_id, entry.cluster_id)
 
 
@@ -607,14 +598,14 @@ class System:
 
     def __init__(self, machine: Machine, cost_model: CostModel,
                  body_fn: TaskBody, check: ThreadCheck | None = None,
-                 lazy_deletion: bool = True, strict_algorithm: bool = False):
+                 lazy_deletion: bool = True):
         self.machine = machine
         self.cost_model = cost_model
         self.body_fn = body_fn
         self.check = check
         self.lazy_deletion = lazy_deletion
         self.metrics = Metrics()
-        self.main = MainScheduler(self, strict_algorithm=strict_algorithm)
+        self.main = MainScheduler(self)
         self.cluster_scheds = [ClusterScheduler(self, c) for c in machine.clusters]
         self.threads: dict[int, ThreadDescriptor] = {}
         self.finished_runs: dict[int, ThreadRun] = {}

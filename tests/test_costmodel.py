@@ -9,9 +9,9 @@ from wbpsim.costmodel import (CostModel, CostParams, CycleAnchor, DmaTiming,
                               bp_anchor_from_throughput, dma_cycles,
                               fit_scaling, lane_scale_factor, parse_anchor_text)
 
-REF_TILE = TileTiming(lanes=64, vrf_count=32)
-L_TILE = TileTiming(lanes=16, vrf_count=32)
-S_TILE = TileTiming(lanes=8, vrf_count=64)
+REF_TILE = TileTiming(lanes=64)
+L_TILE = TileTiming(lanes=16)
+S_TILE = TileTiming(lanes=8)
 
 FFT_ANCHORS = [
     CycleAnchor("fft", 128, 251, 64),
@@ -81,7 +81,7 @@ def test_lane_scaling_direction_and_floor():
     sf = model.params.serial_fraction
     assert large == round(251 * (sf + (1 - sf) * 64 / 16))
     # cycles never drop below the serial fraction of the base
-    huge = TileTiming(lanes=4096, vrf_count=32)
+    huge = TileTiming(lanes=4096)
     assert model.kernel_cycles("fft", 128, huge) >= round(sf * 251)
 
 

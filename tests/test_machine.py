@@ -185,9 +185,12 @@ def test_check_rejects_span_index_drift():
         spm.check()
 
 
-def allocates_in_turn(spm, sizes):
-    """Whether allocating ``sizes`` one after another succeeds, on a copy."""
+def allocates_in_turn(spm, sizes, freed=()):
+    """Whether allocating ``sizes`` one after another succeeds once the
+    ``freed`` regions are gone, on a copy."""
     trial = copy.deepcopy(spm)
+    for region in freed:
+        trial.free_region(region)
     try:
         for size in sizes:
             trial.alloc(size)
@@ -213,6 +216,9 @@ def test_allocator_invariants_under_random_ops(ops):
     for is_alloc, size, query in ops:
         before = allocator_state(spm)
         assert spm.would_fit(*query) == allocates_in_turn(spm, query)
+        freed = set(live[::2])
+        assert spm.would_fit(*query, freed=freed) == \
+            allocates_in_turn(spm, query, freed)
         assert allocator_state(spm) == before
         if is_alloc or not live:
             expected = first_fit_oracle(spm, size)
@@ -391,9 +397,9 @@ def test_main_transfer_single_csr_cost():
 
 
 RETRIEVAL_FAULTS = [
-    (RunState.IDLE, PortDirection.BUS, "retrieval while RunState.IDLE"),
-    (RunState.LOADING, PortDirection.BUS, "retrieval while RunState.LOADING"),
-    (RunState.RUNNING, PortDirection.BUS, "retrieval while RunState.RUNNING"),
+    (RunState.IDLE, PortDirection.BUS, "retrieval while idle"),
+    (RunState.LOADING, PortDirection.BUS, "retrieval while loading"),
+    (RunState.RUNNING, PortDirection.BUS, "retrieval while running"),
     (RunState.RETURNING, PortDirection.CORE, "retrieval with port at core"),
 ]
 

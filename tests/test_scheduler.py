@@ -18,8 +18,8 @@ from wbpsim.scheduler import (BodyResult, ClusterScheduler, Decision,
 
 # One law so synthetic task cost is predictable; ref lanes match the L tile
 # so no lane scaling applies.
-FLAT_COST = CostModel([], CostParams(laws={"assemble": (0.01, 2000.0)},
-                                     ref_lanes=16))
+FLAT_COST = CostModel([], CostParams(ref_lanes=16))
+FLAT_COST.laws["assemble"] = (0.01, 2000.0)
 
 
 def small_config(**kw):
@@ -32,11 +32,10 @@ def small_config(**kw):
     return MachineConfig(**defaults)
 
 
-def build_system(config=None, lazy_deletion=True, strict_algorithm=False,
-                 cost=FLAT_COST):
+def build_system(config=None, lazy_deletion=True, cost=FLAT_COST):
     machine = Machine(config or small_config())
     return System(machine, cost, make_passthrough_body(),
-                  lazy_deletion=lazy_deletion, strict_algorithm=strict_algorithm)
+                  lazy_deletion=lazy_deletion)
 
 
 def thread(tid, dag, arrival=0, nbytes=64):
@@ -283,11 +282,11 @@ def test_admitting_or_finishing_a_run_out_of_turn_fails():
 
 
 # ---------------------------------------------------------------------------
-# scripted multi-cluster scenario (default vs literal control flow)
+# scripted multi-cluster scenario (checked by AC9 in test_acceptance.py)
 
 
-def scripted_run(strict_algorithm):
-    system = build_system(strict_algorithm=strict_algorithm)
+def scripted_run():
+    system = build_system()
     dag_x = one_task_dag(tag="x")
     dag_y = one_task_dag(tag="y")
     dag_z = one_task_dag(tag="z")
@@ -305,36 +304,6 @@ def placements(system):
         if decision.action != "wait":
             final[decision.thread] = (decision.action, decision.cluster)
     return [final[tid] for tid in sorted(final)]
-
-
-def test_scripted_scenario_default_mode():
-    system, (dag_x, _, _) = scripted_run(strict_algorithm=False)
-    assert placements(system) == [
-        ("admit", 0),   # fresh system, first cluster admits
-        ("hit", 0),     # same dag resident, multi-threading slot available
-        ("admit", 1),   # cluster 0 full, next cluster admits and re-ships
-        ("admit", 2),   # code pools 0/1 hold dag_x, cluster 2 takes dag_y
-        ("evict", 1),   # no admitting cluster: evict the LRU idle dag
-    ]
-    evict = [d for d in system.main.decisions if d.action == "evict"]
-    assert evict[0].evicted == (dag_x.dag_id,)
-    assert any(d.action == "wait" for d in system.main.decisions)
-    assert system.metrics.dag_transfers == 4
-    assert system.metrics.residency_hits == 1
-    assert system.metrics.evictions == 1
-
-
-def test_scripted_scenario_strict_algorithm_mode():
-    # The literal control flow skips registration on the admission path, so
-    # residency lookups never hit and every placement re-ships the dag.
-    system, _ = scripted_run(strict_algorithm=True)
-    final = placements(system)
-    assert [action for action, _ in final] == ["admit"] * 5
-    assert [cluster for _, cluster in final] == [0, 1, 2, 0, 1]
-    assert system.metrics.dag_transfers == 5
-    assert system.metrics.residency_hits == 0
-    assert system.metrics.evictions == 0
-    assert len(system.main.table.entries) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +369,8 @@ def test_forced_eviction_alternating_dags():
 
 def test_eviction_that_frees_too_little_waits_for_the_running_dag():
     # Pool 5000 holds B (1024, idle) and A (2048, running), so C (4096)
-    # finds no hole even once B is evicted: it waits, with B evicted, and
-    # is placed by evicting A once A's thread finishes.
+    # would find no hole even with B evicted: it waits with B kept, and is
+    # placed by evicting B and then A once A's thread finishes.
     system = build_system(config=small_config(clusters=1, tile_mix=("L",)))
     dag_b = one_task_dag(code_bytes=1024 - 32, tag="b")
     dag_a = one_task_dag(code_bytes=2048 - 32, tag="a")
@@ -415,8 +384,8 @@ def test_eviction_that_frees_too_little_waits_for_the_running_dag():
     decisions = [(d.thread, d.action, d.cluster, d.evicted)
                  for d in system.main.decisions]
     assert decisions == [(0, "admit", 0, ()), (1, "admit", 0, ()),
-                         (2, "wait", 0, (dag_b.dag_id,)),
-                         (2, "evict", 0, (dag_a.dag_id,))]
+                         (2, "wait", 0, ()),
+                         (2, "evict", 0, (dag_b.dag_id, dag_a.dag_id))]
     assert system.metrics.evictions == 2
 
 
