@@ -106,8 +106,8 @@ def bhattacharyya_frozen_mask(n: int, k: int) -> np.ndarray:
     """Frozen mask (1 = frozen) for a length-2^n code with k info bits.
 
     Channel reliabilities follow the classic parameter recursion seeded with
-    z = exp(-1), the 0 dB design point; index order matches the natural (non-bit-reversed)
-    encoder below. Ties freeze the lower index first.
+    z = exp(-1), the 0 dB design point; index order matches the natural
+    (non-bit-reversed) encoder below. Ties freeze the lower index first.
     """
     size = 1 << n
     if not 0 <= k <= size:

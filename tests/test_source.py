@@ -23,7 +23,6 @@ ENTRY_POINTS = {
     "machine.SpmSection.offset_of": "perfbench's tracer wraps it by name",
     "machine.SpmSection.used": "tests check that sections drain",
 }
-_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def env_reads(tree: ast.AST) -> list[tuple[int, str]]:
@@ -75,7 +74,7 @@ def _public_defs(module: str, tree: ast.Module):
         else:
             members = [(module, node)]
         for owner, fn in members:
-            if isinstance(fn, _FUNCS) and not fn.name.startswith("_"):
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
                 yield f"{owner}.{fn.name}", fn
 
 
