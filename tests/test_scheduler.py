@@ -282,7 +282,7 @@ def test_admitting_or_finishing_a_run_out_of_turn_fails():
 
 
 # ---------------------------------------------------------------------------
-# scripted multi-cluster scenario (checked by AC9 in test_acceptance.py)
+# scripted multi-cluster scenario (also checked by AC9 in test_acceptance.py)
 
 
 def scripted_run():
@@ -304,6 +304,23 @@ def placements(system):
         if decision.action != "wait":
             final[decision.thread] = (decision.action, decision.cluster)
     return [final[tid] for tid in sorted(final)]
+
+
+def test_scripted_scenario_default_mode():
+    system, (dag_x, _, _) = scripted_run()
+    assert placements(system) == [
+        ("admit", 0),   # fresh system, first cluster admits
+        ("hit", 0),     # same dag resident, multi-threading slot available
+        ("admit", 1),   # cluster 0 full, next cluster admits and re-ships
+        ("admit", 2),   # code pools 0/1 hold dag_x, cluster 2 takes dag_y
+        ("evict", 1),   # no admitting cluster: evict the LRU idle dag
+    ]
+    evict = [d for d in system.main.decisions if d.action == "evict"]
+    assert evict[0].evicted == (dag_x.dag_id,)
+    assert any(d.action == "wait" for d in system.main.decisions)
+    assert system.metrics.dag_transfers == 4
+    assert system.metrics.residency_hits == 1
+    assert system.metrics.evictions == 1
 
 
 # ---------------------------------------------------------------------------
