@@ -9,8 +9,13 @@ cluster's scheduler then scans its dag instances and dispatches ready tasks
 to attribute-matching idle tiles through the bundled deploy/retrieve
 protocol.
 
-A placed thread has one record, its ``ThreadRun``, which holds its inputs
-tagged with their data regions. The run table ``ClusterScheduler.runs``
+A thread declares the byte sizes of its inputs, ``input_sizes``; the
+tokens themselves do not exist until it is placed. A placed thread has one
+record, its ``ThreadRun``. ``_place`` asks ``System.synthesize`` for the
+tokens, checks each against its declared size and keeps them on the run,
+tagged with their data regions, while the bundle is in flight;
+``admit_instance`` pushes them onto the dag's external edges and drops them
+from the run. The run table ``ClusterScheduler.runs``
 holds every thread placed on the cluster and not yet finished, in placement
 order. A run's ``instance`` is None while its bundle is in flight, and the
 scan skips it. Placement order is admission order: each ``reserve`` of the
@@ -97,7 +102,7 @@ class UncoveredDag(ValueError):
 class ThreadDescriptor:
     tid: int
     dag: Dag
-    inputs: list[Token]
+    input_sizes: tuple[int, ...]  # bytes per external input edge, in edge order
     arrival_time: int
     meta: dict[str, Any] = field(default_factory=dict)
 
@@ -185,6 +190,9 @@ class BodyResult:
 
 
 TaskBody = Callable[..., BodyResult]
+# Called with a thread being placed; returns its input tokens, one of each
+# declared size, in the order of ``input_sizes``.
+Synthesize = Callable[[ThreadDescriptor], list[Token]]
 # Called with a finished thread's run and the output tokens it delivered.
 ThreadCheck = Callable[["ThreadRun", list[Token]], None]
 
@@ -194,7 +202,7 @@ class ThreadRun:
     thread: ThreadDescriptor
     cluster_id: int
     fifo_region: int
-    inputs: list[Token]  # the thread's inputs, tagged with their data regions
+    inputs: list[Token]  # region-tagged inputs, until admit_instance takes them
     instance: DagInstance | None = None
     completed_at: int | None = None
 
@@ -238,11 +246,10 @@ class ClusterScheduler:
             raise RuntimeError(f"thread {tid} admitted twice")
         instance = DagInstance(run.thread.dag)
         run.instance = instance
-        ext_edges = run.thread.dag.external_input_edges()
-        if len(ext_edges) != len(run.inputs):
-            raise RuntimeError("thread input count does not match dag input edges")
-        for edge_idx, token in zip(ext_edges, run.inputs):
+        # submit checked that the thread declares one input per edge.
+        for edge_idx, token in zip(run.thread.dag.external_input_edges(), run.inputs):
             instance.push_token(edge_idx, token)
+        run.inputs = []
 
     # -- scanning and dispatch ------------------------------------------------
 
@@ -473,7 +480,7 @@ class MainScheduler:
                 not sections["TASK_CODE_POOL"].would_fit(thread.dag.packed_bytes):
             return False
         return sections["FIFO_LISTS"].would_fit(_fifo_bytes(thread.dag)) and \
-            sections["COMPUTE_DATA"].would_fit(*(t.byte_size for t in thread.inputs))
+            sections["COMPUTE_DATA"].would_fit(*thread.input_sizes)
 
     # -- the thread-level scheduling pass ---------------------------------------
 
@@ -486,18 +493,30 @@ class MainScheduler:
 
     def _place(self, thread: ThreadDescriptor, cluster_id: int, now: int,
                decision_time: int) -> None:
-        """Reserve what ``_bundle_fits`` found room for, enter the run with
-        its inputs tagged with their data regions, and ship the bundle; the
-        dag goes with it, and is registered, unless the cluster holds it."""
+        """Build the thread's inputs, reserve what ``_bundle_fits`` found
+        room for, enter the run with its inputs tagged with their data
+        regions, and ship the bundle; the dag goes with it, and is
+        registered, unless the cluster holds it.
+
+        A built input whose size differs from the declared one raises, so
+        the declaration is checked on every placement."""
+        tokens = self.system.synthesize(thread)
+        if len(tokens) != len(thread.input_sizes):
+            raise RuntimeError(f"thread {thread.tid}: built {len(tokens)} inputs, "
+                               f"declared {len(thread.input_sizes)}")
+        for index, (token, size) in enumerate(zip(tokens, thread.input_sizes)):
+            if token.byte_size != size:
+                raise RuntimeError(f"thread {thread.tid}: input {index} is "
+                                   f"{token.byte_size} bytes, declared {size}")
         sched = self.system.cluster_scheds[cluster_id]
         cluster = sched.cluster
         compute = cluster.sections["COMPUTE_DATA"]
         inputs = [Token(t.payload, t.byte_size, compute.alloc(t.byte_size))
-                  for t in thread.inputs]
+                  for t in tokens]
         run = ThreadRun(thread=thread, cluster_id=cluster_id, inputs=inputs,
                         fifo_region=cluster.sections["FIFO_LISTS"].alloc(
                             _fifo_bytes(thread.dag)))
-        transfer_bytes = sum(t.byte_size for t in inputs)
+        transfer_bytes = sum(thread.input_sizes)
         if (thread.dag.dag_id, cluster_id) not in self.table.entries:
             dag_bytes = thread.dag.packed_bytes
             code_region = cluster.sections["TASK_CODE_POOL"].alloc(dag_bytes)
@@ -590,18 +609,20 @@ class MainScheduler:
 class System:
     """Binds the machine, both scheduler levels, and the task bodies.
 
+    ``synthesize`` builds a thread's input tokens when it is placed.
     ``check``, if given, is called once per finished thread with its run and
-    the output tokens it delivered; the run keeps none of them. It must not
+    the output tokens it delivered; the run keeps none of them. Neither may
     refer to the System, which the schedulers' weak references keep free of
     cycles.
     """
 
     def __init__(self, machine: Machine, cost_model: CostModel,
-                 body_fn: TaskBody, check: ThreadCheck | None = None,
-                 lazy_deletion: bool = True):
+                 body_fn: TaskBody, synthesize: Synthesize,
+                 check: ThreadCheck | None = None, lazy_deletion: bool = True):
         self.machine = machine
         self.cost_model = cost_model
         self.body_fn = body_fn
+        self.synthesize = synthesize
         self.check = check
         self.lazy_deletion = lazy_deletion
         self.metrics = Metrics()
@@ -622,6 +643,10 @@ class System:
         if missing:
             raise UncoveredDag(f"no cluster has tile class {missing}, which "
                                f"the dag of thread {thread.tid} requires")
+        edges = len(thread.dag.external_input_edges())
+        if len(thread.input_sizes) != edges:
+            raise ValueError(f"thread {thread.tid} declares {len(thread.input_sizes)} "
+                             f"inputs for the {edges} external input edges of its dag")
         self.threads[thread.tid] = thread
         self.machine.engine.post(Event(
             time=thread.arrival_time, kind=EventKind.THREAD_ARRIVAL,

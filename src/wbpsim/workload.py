@@ -7,13 +7,15 @@ demod -> descramble -> rate recovery -> blind detection, fanning out to the
 maximum of 20 channel decoders whose unused tail is dismissed at runtime
 once the detected user count is known.
 
-Thread payloads are synthesized up front from a seeded generator, so
-simulation order cannot perturb the data. A slot's frames are built for all
-its users together, in one batched kernel call per chain stage, and only
-where an uplink slot needs them: it passes its paired downlink slot's frames
-through the modeled channel. A transmit slot keeps only its info bits; its
-delivered frames are checked against frames derived from them when its
-thread finishes.
+Set-up draws each slot's info bits from the slot's own seeded generator and
+declares its threads' input sizes; a thread's payloads are synthesized only
+when the main scheduler places it, by ``slot_inputs``, which re-creates the
+slot's generator, so simulation order cannot perturb the data. An uplink
+slot passes its paired downlink slot's frames through the modeled channel;
+they are built for all its users together, in one batched kernel call per
+chain stage, when the uplink slot is placed. A transmit slot keeps only its
+info bits; its delivered frames are checked against frames derived from them
+when its thread finishes.
 
 A receive thread's decoders share one batched decode on the host, as a
 software polar decoder amortises its per-call overhead over sibling frames.
@@ -142,6 +144,16 @@ def payload_bytes(payload) -> int:
     if isinstance(payload, (tuple, list)):
         return BUNDLE_OVERHEAD + sum(payload_bytes(p) for p in payload)
     return 4  # scalar
+
+
+def input_sizes(link: LinkConfig, kind: str) -> tuple[int, ...]:
+    """``payload_bytes`` of the inputs ``slot_inputs`` builds for a thread of
+    ``kind``: a transmit thread's info-bit rows, or a receive thread's
+    ``RxBundle`` of each user's symbols_per_user time-domain symbols."""
+    if kind == "tx":
+        return (max(1, BYTES_PER_BIT * link.polar.K),) * link.users_per_slot
+    frame = link.symbols_per_user * BYTES_PER_SAMPLE * link.ofdm.symbol_len
+    return (BUNDLE_OVERHEAD + link.users_per_slot * (BUNDLE_OVERHEAD + frame),)
 
 
 def make_token(payload) -> Token:
@@ -425,49 +437,60 @@ def _slot_rng(seed: int, slot: int) -> np.random.Generator:
                                                         spawn_key=(slot,)))
 
 
+def _draw_bits(link: LinkConfig, rng: np.random.Generator) -> np.ndarray:
+    return rng.integers(0, 2, size=(link.users_per_slot, link.polar.K),
+                        dtype=np.int8)
+
+
 def spawn_threads(pattern: TddPattern, n_slots: int, link: LinkConfig,
                   seed: int, tx_dag: Dag | None, rx_dag: Dag) -> list[ThreadDescriptor]:
     """One thread per slot: downlink slots transmit, uplink slots receive.
 
-    Each downlink slot draws its users' info bits; its inputs and its
-    ``truth_bits`` are those bits. An uplink slot reuses the bits of the
-    closest preceding downlink slot (its paired transmitter) and adds the
-    modeled channel to their frames. Those frames are built once, in one
-    batched call per kernel stage, and only for a downlink slot that an
-    uplink slot uses. An uplink slot with no downlink slot before it draws
-    and builds its own.
+    Each downlink slot draws its users' info bits, its ``truth_bits``. An
+    uplink slot's ``truth_bits`` are those of the closest preceding downlink
+    slot (its paired transmitter); an uplink slot with no downlink slot
+    before it draws its own, and ``meta["own_bits"]`` says so. Set-up keeps
+    the bits and declares each thread's input sizes; ``slot_inputs`` builds
+    the payloads when the thread is placed.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
-    pilot = pilot_symbol_freq(link)
+    sizes = {"tx": input_sizes(link, "tx"), "rx": input_sizes(link, "rx")}
     threads = []
     downlink: np.ndarray | None = None  # the last downlink slot's bits
-    frames: np.ndarray | None = None  # the current bits' frames, once built
     for slot in range(n_slots):
-        kind = pattern.slots[slot % len(pattern.slots)]
-        rng = _slot_rng(seed, slot)
-        arrival = slot * pattern.slot_duration_cycles
-        if kind == "D" and tx_dag is None:
+        kind = "tx" if pattern.slots[slot % len(pattern.slots)] == "D" else "rx"
+        if kind == "tx" and tx_dag is None:
             raise ValueError("pattern has downlink slots but no transmit dag")
-        if kind == "D" or downlink is None:
-            bits = rng.integers(0, 2, size=(link.users_per_slot, link.polar.K),
-                                dtype=np.int8)
-            frames = None
-        else:
-            bits = downlink
-        if kind == "D":
+        own = kind == "tx" or downlink is None
+        bits = _draw_bits(link, _slot_rng(seed, slot)) if own else downlink
+        if kind == "tx":
             downlink = bits
-            inputs = [make_token(row) for row in bits]
-            meta = {"kind": "tx", "slot": slot, "truth_bits": bits}
-        else:
-            if frames is None:
-                frames = tx_frames(link, bits, pilot)
-            inputs = [make_token(channel_bundle(link, frames, rng))]
-            meta = {"kind": "rx", "slot": slot, "truth_bits": bits}
         threads.append(ThreadDescriptor(
-            tid=slot, dag=tx_dag if kind == "D" else rx_dag, inputs=inputs,
-            arrival_time=arrival, meta=meta))
+            tid=slot, dag=tx_dag if kind == "tx" else rx_dag,
+            input_sizes=sizes[kind], arrival_time=slot * pattern.slot_duration_cycles,
+            meta={"kind": kind, "slot": slot, "truth_bits": bits, "own_bits": own}))
     return threads
+
+
+def slot_inputs(link: LinkConfig, seed: int, thread: ThreadDescriptor,
+                pilot: np.ndarray) -> list[Token]:
+    """A ``spawn_threads`` thread's input tokens, built when it is placed.
+
+    A transmit thread's inputs are the rows of its ``truth_bits``. A receive
+    thread's one input is its bits' ``tx_frames`` through the channel, with
+    noise from a fresh ``_slot_rng(seed, slot)`` drawn after the bits, as
+    set-up drew them, when the slot drew its own. ``pilot`` is
+    ``pilot_symbol_freq(link)``.
+    """
+    meta = thread.meta
+    if meta["kind"] == "tx":
+        return [make_token(row) for row in meta["truth_bits"]]
+    rng = _slot_rng(seed, meta["slot"])
+    if meta["own_bits"]:
+        _draw_bits(link, rng)
+    frames = tx_frames(link, meta["truth_bits"], pilot)
+    return [make_token(channel_bundle(link, frames, rng))]
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +563,17 @@ def run_experiment(machine_cfg: MachineConfig, link: LinkConfig,
     pilot = pilot_symbol_freq(link)
     failures: dict[int, int] = {}  # mismatching payloads, by failed thread id
 
+    # Neither callback holds a reference to the System, which must stay
+    # free of cycles.
+    def synthesize(thread):
+        return slot_inputs(link, seed, thread, pilot)
+
     def check(run, outputs):
-        # Holds no reference to the System, which must stay free of cycles.
         count = _verify_thread(run.thread, outputs, link, pilot)
         if count:
             failures[run.thread.tid] = count
 
-    system = System(machine, model, make_link_body(link), check,
+    system = System(machine, model, make_link_body(link), synthesize, check,
                     lazy_deletion=lazy_deletion)
     if fault_hook is not None:
         fault_hook(machine)

@@ -38,6 +38,11 @@ def input_token(nbytes: int = 64) -> Token:
     return Token(payload=b"in", byte_size=nbytes)
 
 
+def declared_inputs(thread) -> list[Token]:
+    """Synthesizer that builds one ``input_token`` per declared input size."""
+    return [input_token(nbytes) for nbytes in thread.input_sizes]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

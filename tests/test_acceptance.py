@@ -18,7 +18,8 @@ from wbpsim.costmodel import CostModel, TileTiming, bp_anchor_from_throughput
 from wbpsim.machine import Machine, MachineConfig
 from wbpsim.scheduler import System
 from wbpsim.workload import (LinkConfig, TddPattern, build_rx_dag, build_tx_dag,
-                             make_link_body, run_experiment, spawn_threads)
+                             make_link_body, pilot_symbol_freq, run_experiment,
+                             slot_inputs, spawn_threads)
 from wbpsim.cli import sweep_mix
 
 from test_kernels import LfsrOracle, dft_oracle, polar_encode_oracle, loopback
@@ -215,7 +216,9 @@ def test_ac7_dismissal_property():
             system = System(Machine(MachineConfig(clusters=1,
                                                   tile_mix=("L", "L", "S", "S")),
                                     digest_salt="ac7"),
-                            CostModel.default(), make_link_body(link))
+                            CostModel.default(), make_link_body(link),
+                            lambda t: slot_inputs(link, 7, t,
+                                                  pilot_symbol_freq(link)))
             threads = spawn_threads(TddPattern(("U",), 3000), 2, link, 7,
                                     None, build_rx_dag(link))
             for thread in threads:

@@ -5,7 +5,8 @@ byte-identical. These runs pin the ``report_row`` CSV row (its last field is
 the trace digest) and a SHA-256 of the main scheduler's decision log of the
 reference configs and of a short deep-backlog point of the scaling sweep,
 all at seed 1. A change to the model must update the pins and say why.
-Payload pins hash the thread inputs that the perfbench configs spawn.
+Payload pins hash the thread inputs that ``slot_inputs`` builds for the
+threads the perfbench configs spawn.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import pytest
 from wbpsim.cli import emit_csv, execute, report_row, sweep_mix
 from wbpsim.config import load_config, with_system
 from wbpsim.workload import (RxBundle, TddPattern, build_rx_dag, build_tx_dag,
-                             spawn_threads)
+                             pilot_symbol_freq, slot_inputs, spawn_threads)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PERFBENCH_CONFIGS = CONFIGS.parent / "perfbench" / "configs"
@@ -106,11 +107,13 @@ def payload_sha256(setup) -> str:
     link = setup.link
     threads = spawn_threads(setup.pattern, setup.n_slots, link, setup.seed,
                             build_tx_dag(link), build_rx_dag(link))
+    pilot = pilot_symbol_freq(link)
     sha = hashlib.sha256()
     for thread in threads:
+        tokens = slot_inputs(link, setup.seed, thread, pilot)
         sha.update(repr((thread.tid, thread.arrival_time, thread.meta["kind"],
-                         [token.byte_size for token in thread.inputs])).encode())
-        for token in thread.inputs:
+                         [token.byte_size for token in tokens])).encode())
+        for token in tokens:
             _feed(sha, token.payload)
         _feed(sha, thread.meta["truth_bits"])
     return sha.hexdigest()

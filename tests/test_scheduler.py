@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from conftest import input_token, linear_dag, make_passthrough_body
+from conftest import declared_inputs, input_token, linear_dag, make_passthrough_body
 from wbpsim.costmodel import CostModel, CostParams
 from wbpsim.dag import Dag, TaskSpec, TaskState, Token
 from wbpsim.machine import (Event, EventKind, Machine, MachineConfig, RunState,
@@ -34,12 +34,12 @@ def small_config(**kw):
 
 def build_system(config=None, lazy_deletion=True, cost=FLAT_COST):
     machine = Machine(config or small_config())
-    return System(machine, cost, make_passthrough_body(),
+    return System(machine, cost, make_passthrough_body(), declared_inputs,
                   lazy_deletion=lazy_deletion)
 
 
 def thread(tid, dag, arrival=0, nbytes=64):
-    return ThreadDescriptor(tid=tid, dag=dag, inputs=[input_token(nbytes)],
+    return ThreadDescriptor(tid=tid, dag=dag, input_sizes=(nbytes,),
                             arrival_time=arrival)
 
 
@@ -82,7 +82,7 @@ def test_placement_ships_packed_dag_plus_input_bytes():
     sizes = main_transfer_sizes(system)
     dag = linear_dag(3, code_bytes=1000)
     assert dag.packed_bytes == 32 + 3 * 1000
-    system.submit(ThreadDescriptor(tid=0, dag=dag, inputs=[input_token(96)],
+    system.submit(ThreadDescriptor(tid=0, dag=dag, input_sizes=(96,),
                                    arrival_time=0))
     system.run()
     assert system.metrics.dag_transfers == 1
@@ -145,8 +145,7 @@ def test_fit_queries_never_allocate(monkeypatch):
     pool0 = system.machine.clusters[0].sections["TASK_CODE_POOL"]
     system.main.table.record(TableEntry(dag.dag_id, 0, last_used=0,
                                         code_region=pool0.alloc(dag.packed_bytes)))
-    probe = ThreadDescriptor(tid=0, dag=dag, arrival_time=0,
-                             inputs=[input_token(64), input_token(32)])
+    probe = ThreadDescriptor(tid=0, dag=dag, arrival_time=0, input_sizes=(64, 32))
 
     def refuse(self, *args):
         raise AssertionError(f"{self.name} changed during a fit query")
@@ -245,15 +244,66 @@ def test_finished_system_is_freed_without_cycle_collection():
 
 
 def test_thread_descriptor_is_read_only_after_a_run():
-    # The run, not the workload's descriptor, holds the region-tagged inputs.
+    # The descriptor declares its input sizes and holds no token; the run
+    # holds the built inputs until its bundle lands, and a finished run
+    # keeps none of them.
     system = build_system()
     t = thread(0, one_task_dag())
     system.submit(t)
     system.run()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        t.inputs = []
-    assert [token.region for token in t.inputs] == [None]
-    assert system.finished_runs[0].inputs[0].region is not None
+        t.input_sizes = ()
+    assert t.input_sizes == (64,)
+    assert not any(isinstance(getattr(t, f.name), (Token, list))
+                   for f in dataclasses.fields(t))
+    run = system.finished_runs[0]
+    assert run.inputs == []
+    assert run.instance.fifos == [None] and run.instance.outputs == {}
+
+
+def two_input_dag():
+    dag = Dag()
+    for task in ("a", "b"):
+        dag.add_task(TaskSpec(task_id=task, kernel="assemble", attribute="ANY",
+                              code_bytes=1024))
+        dag.add_edge("EXTERNAL", task)
+    return dag.freeze()
+
+
+def one_byte_more(t):
+    tokens = declared_inputs(t)
+    tokens[1] = input_token(tokens[1].byte_size + 1)
+    return tokens
+
+
+@pytest.mark.parametrize("build,message", [
+    (one_byte_more, "thread 7: input 1 is 33 bytes, declared 32"),
+    (lambda t: declared_inputs(t)[:1], "thread 7: built 1 inputs, declared 2"),
+])
+def test_built_inputs_unlike_the_declared_ones_fail_the_placement(build, message):
+    # The declaration is checked on every placement, before anything is
+    # reserved.
+    system = System(Machine(small_config(clusters=1)), FLAT_COST,
+                    make_passthrough_body(), build)
+    system.submit(ThreadDescriptor(tid=7, dag=two_input_dag(), input_sizes=(64, 32),
+                                   arrival_time=0))
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        system.run()
+    sections = system.machine.clusters[0].sections
+    assert all(not sections[name].allocations for name in sections)
+    assert system.cluster_scheds[0].runs == {}
+
+
+def test_submit_refuses_an_input_count_unlike_its_dag():
+    system = build_system()
+    for sizes, count in (((64, 64), 2), ((), 0)):
+        with pytest.raises(ValueError, match=(
+                f"^thread 3 declares {count} inputs for the 1 external input "
+                f"edges of its dag$")):
+            system.submit(ThreadDescriptor(tid=3, dag=one_task_dag(),
+                                           input_sizes=sizes, arrival_time=0))
+    system.run()  # nothing was posted
+    assert system.threads == {} and system.machine.engine.dispatched == 0
 
 
 def test_over_full_run_table_fails_the_event():
@@ -444,7 +494,7 @@ def test_late_dismissal_frees_the_other_producers_token(first, monkeypatch):
 
     monkeypatch.setattr(ClusterScheduler, "finish_thread", recording)
     config = small_config(clusters=1, tile_mix=("L", "L"))
-    system = System(Machine(config), FLAT_COST, body)
+    system = System(Machine(config), FLAT_COST, body, declared_inputs)
     system.submit(thread(0, late_dismissal_dag()))
     system.run()
     assert list(system.finished_runs) == [0]
@@ -476,7 +526,7 @@ def linear_threads_system(body, tiles, indication_bytes=2048, data_bytes=65536,
         section_bytes={"TASK_CODE_POOL": 65536, "FIFO_LISTS": 4096,
                        "LOAD_INDICATION": indication_bytes,
                        "COMPUTE_DATA": data_bytes})
-    system = System(Machine(config), FLAT_COST, body, check)
+    system = System(Machine(config), FLAT_COST, body, declared_inputs, check)
     dag = linear_dag(3)
     for tid in range(n_threads):
         system.submit(thread(tid, dag))
@@ -563,7 +613,7 @@ def test_retrieval_that_fits_one_of_two_tokens_stalls_then_completes(monkeypatch
         return result
 
     finished = {}  # thread id -> (event count, time) of its completion
-    system = System(Machine(config), FLAT_COST, body,
+    system = System(Machine(config), FLAT_COST, body, declared_inputs,
                     lambda run, outputs: finished.setdefault(
                         run.thread.tid, (engine.dispatched, run.completed_at)))
     engine = system.machine.engine
@@ -616,7 +666,7 @@ def test_placement_waiting_for_data_room_is_placed_by_the_completion_that_frees_
             result.cost_items = [("assemble", 64, 10)]
         return result
 
-    system = System(Machine(config), FLAT_COST, body)
+    system = System(Machine(config), FLAT_COST, body, declared_inputs)
     system.submit(thread(0, linear_dag(2)))
     system.submit(thread(1, one_task_dag(), arrival=10_000, nbytes=512))
     system.run()
@@ -715,8 +765,8 @@ def resident(system, tid, dag):
     compute = system.machine.clusters[0].sections["COMPUTE_DATA"]
     inputs = [Token(payload=b"in", byte_size=64, region=compute.alloc(64))
               for _ in dag.external_input_edges()]
-    run = ThreadRun(thread=ThreadDescriptor(tid=tid, dag=dag, inputs=inputs,
-                                            arrival_time=0),
+    run = ThreadRun(thread=ThreadDescriptor(tid=tid, dag=dag, arrival_time=0,
+                                            input_sizes=(64,) * len(inputs)),
                     cluster_id=0, fifo_region=0, inputs=inputs)
     system.cluster_scheds[0].runs[tid] = run
     system.cluster_scheds[0].admit_instance(run)

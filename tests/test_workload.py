@@ -17,8 +17,8 @@ from wbpsim.kernels import OfdmConfig, PolarCode
 from wbpsim.machine import MachineConfig
 from wbpsim.workload import (LinkConfig, TddPattern, build_rx_dag, build_tx_dag,
                              channel_bundle, make_link_body, payload_bytes,
-                             pilot_symbol_freq, spawn_threads, throughput_mbps,
-                             tx_frames, run_experiment)
+                             pilot_symbol_freq, slot_inputs, spawn_threads,
+                             throughput_mbps, tx_frames, run_experiment)
 
 
 def small_link(users=3, snr=None, n=64, k=32, subcarriers=32, cp=8, iters=12):
@@ -110,9 +110,9 @@ def test_link_body_rejects_unknown_role():
 RX_CHAIN = ("rx_ofdm", "rx_ls", "rx_zf", "rx_demod", "rx_descr", "rx_recover")
 
 
-def _blind_outputs(body, dag, thread):
+def _blind_outputs(body, link, seed, dag, thread):
     """Run a receive thread's chain through rx_blind; return its result."""
-    payload = thread.inputs[0].payload
+    payload = slot_inputs(link, seed, thread, pilot_symbol_freq(link))[0].payload
     for task in RX_CHAIN:
         payload = body(dag.tasks[task], [payload], thread).edge_outputs[0].payload
     return body(dag.tasks["rx_blind"], [payload], thread)
@@ -140,7 +140,7 @@ def test_link_body_decoders_match_single_frame_decodes(users, monkeypatch):
 
     rows, expected = {}, {}
     for thread in threads:
-        blind = _blind_outputs(body, dag, thread)
+        blind = _blind_outputs(body, link, 11, dag, thread)
         assert blind.scalar_return == users
         assert blind.cost_items == [("blind_detect", 20, 1)]
         outputs = blind.edge_outputs
@@ -184,7 +184,7 @@ def test_link_body_decoder_rejects_a_foreign_payload():
     first, second, third = spawn_threads(TddPattern(("U",), 8000), 3, link, 11,
                                          None, dag)
     rows = {thread.tid: [token.payload for token in
-                         _blind_outputs(body, dag, thread).edge_outputs[:2]]
+                         _blind_outputs(body, link, 11, dag, thread).edge_outputs[:2]]
             for thread in (first, second)}
     own = rows[first.tid][0]
     cases = [("dec_u00", rows[second.tid][0], first),  # another thread's row
@@ -321,13 +321,14 @@ def test_spawn_threads_payloads_match_per_user_reference(users, snr, pattern):
             threads, reference_payloads(tdd, 7, link, 3), strict=True):
         assert thread.meta["kind"] == kind
         assert thread.meta["truth_bits"].tobytes() == bits.tobytes()
+        tokens = slot_inputs(link, 3, thread, pilot)
         if kind == "tx":
-            payloads = [token.payload for token in thread.inputs]
+            payloads = [token.payload for token in tokens]
             # A transmit slot is checked against frames derived from its bits.
             assert tx_frames(link, thread.meta["truth_bits"], pilot).tobytes() \
                 == expected.tobytes()
         else:
-            (token,) = thread.inputs
+            (token,) = tokens
             bundle = token.payload
             assert (bundle.user_count, bundle.noise_var) == (users, noise_var)
             payloads = [sym for frame in bundle.per_user for sym in frame]
@@ -335,15 +336,15 @@ def test_spawn_threads_payloads_match_per_user_reference(users, snr, pattern):
                 [link.symbols_per_user] * users
         assert [p.tobytes() for p in payloads] == [p.tobytes() for p in inputs]
         assert [p.dtype for p in payloads] == [p.dtype for p in inputs]
-        assert [t.byte_size for t in thread.inputs] == \
-            [payload_bytes(t.payload) for t in thread.inputs]
+        assert [t.byte_size for t in tokens] == \
+            [payload_bytes(t.payload) for t in tokens] == list(thread.input_sizes)
 
 
 @pytest.mark.parametrize("pattern,calls", [("DU", 3), ("UD", 3)])
 def test_spawn_threads_encodes_each_slot_once(pattern, calls, monkeypatch):
-    # Frames are built once per paired downlink slot, in one batched encode
-    # that the uplink slot after it uses; an uplink slot 0 encodes its own
-    # frames, and UD's last downlink slot pairs with no uplink slot.
+    # Set-up encodes nothing. Each uplink slot's inputs are built with one
+    # batched encode of its paired bits; an uplink slot 0 encodes its own
+    # bits, and a downlink slot's inputs are its bits, so it encodes none.
     link = small_link(users=4)
     tx_dag, rx_dag = build_tx_dag(link), build_rx_dag(link)
     shapes = []
@@ -354,7 +355,14 @@ def test_spawn_threads_encodes_each_slot_once(pattern, calls, monkeypatch):
         return encode(info, code)
 
     monkeypatch.setattr(kernels, "polar_encode", counting)
-    spawn_threads(TddPattern.parse(pattern, 1000), 6, link, 1, tx_dag, rx_dag)
+    threads = spawn_threads(TddPattern.parse(pattern, 1000), 6, link, 1,
+                            tx_dag, rx_dag)
+    assert shapes == []
+    pilot = pilot_symbol_freq(link)
+    for thread in threads:
+        before = len(shapes)
+        slot_inputs(link, 1, thread, pilot)
+        assert len(shapes) - before == (thread.meta["kind"] == "rx")
     assert shapes == [(4, link.polar.K)] * calls
 
 
@@ -406,7 +414,7 @@ def test_executed_decoders_match_detected_users(monkeypatch):
     from wbpsim.dag import DagInstance
     from wbpsim.machine import Machine
     from wbpsim.scheduler import System
-    from wbpsim.workload import make_link_body, spawn_threads
+    from wbpsim.workload import make_link_body, slot_inputs, spawn_threads
 
     # Every state change of the run, as a path per (instance, task).
     paths = {}
@@ -417,7 +425,9 @@ def test_executed_decoders_match_detected_users(monkeypatch):
         set_state(instance, task_id, new)
 
     monkeypatch.setattr(DagInstance, "set_state", recording)
-    system = System(Machine(machine), CostModel.default(), make_link_body(link))
+    pilot = pilot_symbol_freq(link)
+    system = System(Machine(machine), CostModel.default(), make_link_body(link),
+                    lambda t: slot_inputs(link, 5, t, pilot))
     for t in spawn_threads(TddPattern(("U",), 8000), 2, link, 5, None,
                            build_rx_dag(link)):
         system.submit(t)
@@ -446,8 +456,8 @@ def test_noisy_run_counts_failures_without_raising():
 
 
 def test_run_experiment_leaves_no_cycle():
-    # The check that run_experiment hands its System must not refer to the
-    # System: then the run's state is freed without the cycle collector.
+    # The callbacks that run_experiment hands its System must not refer to
+    # the System: then the run's state is freed without the cycle collector.
     refs = []
     gc.disable()
     try:
@@ -460,25 +470,24 @@ def test_run_experiment_leaves_no_cycle():
         gc.enable()
 
 
-def test_memory_does_not_grow_with_slots_delivered():
-    # flat-downlink delivers one transmit slot per slot. Were a run to keep
-    # each slot's delivered frames, or frames built at set-up to check them
-    # against, its traced peak would grow by one slot's frame bytes per slot
-    # (keeping both, by two). The bound is half of that, so keeping either
-    # fails it; what a slot does keep (its info bits, its run record, its
-    # decision-log entries) grows the peak by about a fifth of it.
-    setup = load_config(Path(__file__).resolve().parent.parent
-                        / "perfbench" / "configs" / "flat-downlink.cfg")
-    link = setup.link
-    frame_bytes = tx_frames(link, np.zeros((link.users_per_slot, link.polar.K),
-                                           dtype=np.int8),
-                            pilot_symbol_freq(link)).nbytes
+PERFBENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+def slot_frame_bytes(link) -> int:
+    """Bytes of one slot's transmitted frames, all users'."""
+    return tx_frames(link, np.zeros((link.users_per_slot, link.polar.K), dtype=np.int8),
+                     pilot_symbol_freq(link)).nbytes
+
+
+def traced_peak_growth(setup, small: int, large: int) -> int:
+    """How much higher the traced peak heap of a ``large``-slot run of
+    ``setup`` is than that of a ``small``-slot run."""
 
     def traced_peak(n_slots):
         tracemalloc.start()
         try:
             report = run_experiment(
-                setup.machine, link, setup.pattern, n_slots, setup.seed,
+                setup.machine, setup.link, setup.pattern, n_slots, setup.seed,
                 multithreading=setup.multithreading,
                 lazy_deletion=setup.lazy_deletion)
             assert report.threads_completed == n_slots
@@ -487,9 +496,29 @@ def test_memory_does_not_grow_with_slots_delivered():
         finally:
             tracemalloc.stop()
 
-    run_experiment(setup.machine, link, setup.pattern, 2, setup.seed)  # warm-up
-    growth = traced_peak(40) - traced_peak(10)
-    assert growth < 30 * frame_bytes / 2
+    run_experiment(setup.machine, setup.link, setup.pattern, 2, setup.seed)  # warm-up
+    return traced_peak(large) - traced_peak(small)
+
+
+def test_memory_does_not_grow_with_slots_delivered():
+    # flat-downlink delivers one transmit slot per slot. Were a run to keep
+    # each slot's delivered frames, or frames built at set-up to check them
+    # against, its traced peak would grow by one slot's frame bytes per slot
+    # (keeping both, by two). The bound is half of that, so keeping either
+    # fails it; what a slot does keep (its info bits, its run record, its
+    # decision-log entries) grows the peak by about a fifth of it.
+    flat = load_config(PERFBENCH_CONFIGS / "flat-downlink.cfg")
+    assert traced_peak_growth(flat, 10, 40) < 30 * slot_frame_bytes(flat.link) / 2
+    # sweep-5x9's machine and link at 24,000-cycle slots, where threads do
+    # not queue; every other slot is an uplink slot. Were a run to build
+    # each uplink slot's received samples at set-up, or keep them once its
+    # thread is admitted, its traced peak would grow by about one slot's
+    # frame bytes per uplink slot, 30 of them here. The bound is half of that.
+    sweep = load_config(PERFBENCH_CONFIGS / "sweep-5x9.cfg")
+    sweep = dataclasses.replace(sweep, pattern=dataclasses.replace(
+        sweep.pattern, slot_duration_cycles=24_000))
+    assert sweep.pattern.slots == ("D", "U")
+    assert traced_peak_growth(sweep, 20, 80) < 30 * slot_frame_bytes(sweep.link) / 2
 
 
 def test_multithreading_and_lazy_deletion_improve_throughput():
