@@ -15,16 +15,15 @@ record, its ``ThreadRun``. ``_place`` asks ``System.synthesize`` for the
 tokens, checks each against its declared size and keeps them on the run,
 tagged with their data regions, while the bundle is in flight;
 ``admit_instance`` pushes them onto the dag's external edges and drops them
-from the run. The run table ``ClusterScheduler.runs``
-holds every thread placed on the cluster and not yet finished, in placement
-order. A run's ``instance`` is None while its bundle is in flight, and the
+from the run. The run table ``ClusterScheduler.runs`` holds every thread
+placed on the cluster and not yet finished, in placement order. A run's ``instance`` is None while its bundle is in flight, and the
 scan skips it. Placement order is admission order: each ``reserve`` of the
 one main DMA engine returns a ``done`` no earlier than the last, and equal
 times dispatch in posting order. A thread keeps no status: it is in
 ``MainScheduler.pending``, in one ``runs`` table or in ``System.finished_runs``.
 A finished thread hands its output tokens to ``System.check`` and keeps
-none: ``finish_thread`` empties its instance's ``outputs``, so memory holds
-the outputs of in-flight threads only.
+none: ``finish_thread`` empties its instance's ``fifos`` and ``outputs``, so
+memory holds the payloads of placed, unfinished threads only.
 
 The modeled scan walks each instance's tasks in topological order and pays
 ``scan_visit_cycles`` for every WAITING task it passes, so a dispatch
